@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Perf-trajectory report: diff ``BENCH_throughput.json`` records across commits.
 
-The benchmark suite merges every tracked number (events/s, dispatch-mode
-speedups, routing/solver ablations) into ``BENCH_throughput.json`` and CI
+The benchmark suite merges every tracked number (events/s, engine and
+routing/solver ablations) into ``BENCH_throughput.json`` and CI
 uploads it per run; this script turns those per-commit snapshots into an
 actual regression radar.  It walks the commits that touched the record file,
 extracts each version with ``git show``, and renders one trend table — rows

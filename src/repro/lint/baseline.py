@@ -1,9 +1,9 @@
 """Committed baseline of grandfathered findings.
 
 The baseline lets the analyzer be *blocking* from day one: deliberate,
-reviewed violations (wall-clock solve-time reporting, the batched path's
-vectorized RNG draws) live in ``.reprolint-baseline.json`` with a one-line
-justification each, and everything else must be fixed.  New code can never
+reviewed violations (wall-clock solve-time reporting) live in
+``.reprolint-baseline.json`` with a one-line justification each, and
+everything else must be fixed.  New code can never
 add to the debt silently — only an explicit ``--write-baseline`` (a reviewed
 diff of the committed file) can.
 

@@ -5,7 +5,7 @@ ordering comparisons run at C speed on plain tuples (never on event objects).
 The sequence number breaks ties deterministically (FIFO among simultaneous
 events), which keeps simulations reproducible for a fixed RNG seed.
 
-Events are small ``__slots__`` classes dispatched by *kind*: the hot paths of
+Events are small ``__slots__`` classes, one per kind of work: the hot paths of
 the simulator (arrivals, network deliveries, batch completions, model loads,
 variant swaps, control ticks) each have a dedicated event type carrying the
 exact references its :meth:`Event.run` needs, instead of the seed design's
@@ -25,7 +25,6 @@ __all__ = [
     "Event",
     "CallbackEvent",
     "ArrivalEvent",
-    "ArrivalBurstEvent",
     "DeliveryEvent",
     "RoutedDeliveryEvent",
     "BatchCompleteEvent",
@@ -45,8 +44,6 @@ class Event:
     """
 
     __slots__ = ("time_s", "cancelled", "_queue")
-
-    kind = "generic"
 
     def __init__(self, time_s: float):
         self.time_s = time_s
@@ -73,8 +70,6 @@ class CallbackEvent(Event):
 
     __slots__ = ("action",)
 
-    kind = "callback"
-
     def __init__(self, time_s: float, action: Callable[[], None]):
         self.time_s = time_s
         self.cancelled = False
@@ -90,8 +85,6 @@ class ArrivalEvent(Event):
 
     __slots__ = ("frontend",)
 
-    kind = "arrival"
-
     def __init__(self, time_s: float, frontend):
         self.time_s = time_s
         self.cancelled = False
@@ -102,40 +95,10 @@ class ArrivalEvent(Event):
         self.frontend.submit()
 
 
-class ArrivalBurstEvent(Event):
-    """A whole chunk of client requests arrives at the Frontend at once.
-
-    The batched dispatch mode (``SimulationConfig.dispatch_mode="batched"``)
-    collapses N per-query :class:`ArrivalEvent` dispatches into one event
-    carrying the chunk's sorted arrival-time array; the Frontend routes the
-    whole chunk through one vectorized sampler draw (see
-    ``Frontend.submit_burst``).  Bursts never span a control tick, so every
-    query in the burst sees exactly the routing table and cluster state it
-    would have seen under scalar dispatch.
-    """
-
-    __slots__ = ("frontend", "times")
-
-    kind = "arrival_burst"
-
-    def __init__(self, time_s: float, frontend, times):
-        self.time_s = time_s
-        self.cancelled = False
-        self._queue = None
-        self.frontend = frontend
-        #: sorted ndarray of the burst's arrival times (a whole-trace view)
-        self.times = times
-
-    def run(self) -> None:
-        self.frontend.submit_burst(self.times)
-
-
 class DeliveryEvent(Event):
     """A query is delivered to a worker after its network hop."""
 
     __slots__ = ("worker", "query")
-
-    kind = "delivery"
 
     def __init__(self, time_s: float, worker, query):
         self.time_s = time_s
@@ -149,19 +112,16 @@ class DeliveryEvent(Event):
 
 
 class RoutedDeliveryEvent(Event):
-    """A batched-dispatch delivery that resolves its physical worker on arrival.
+    """A resilience re-delivery that resolves its physical worker on arrival.
 
-    Scalar dispatch resolves the logical→physical mapping at submit time;
-    a burst pre-resolving at its own start time would see a mapping up to a
-    whole control interval old, making mid-interval fault rehosts
-    (``scenarios.faults._rehost``) visible to scalar queries but not batched
-    ones.  Resolving when the delivery fires keeps batched fault behaviour
-    within one network hop of scalar's.
+    Retries, hedges and failover re-queues (``repro.simulator.resilience``)
+    address a *logical* worker and fire after a backoff or network delay.
+    Resolving the logical→physical mapping when the delivery fires, not when
+    it is scheduled, lets a fault rehost (``scenarios.faults._rehost``) that
+    happens in between redirect the query to the new host.
     """
 
     __slots__ = ("sim", "worker_id", "query")
-
-    kind = "routed_delivery"
 
     def __init__(self, time_s: float, sim, worker_id: str, query):
         self.time_s = time_s
@@ -183,16 +143,9 @@ class RoutedDeliveryEvent(Event):
 
 
 class BatchCompleteEvent(Event):
-    """A worker finishes executing one batch.
-
-    ``batch`` is a list of :class:`IntermediateQuery` on the object request
-    path, or — under ``request_path="columnar"`` — the worker's
-    ``(request_ids, path_accuracies, arrival_times)`` list triple.
-    """
+    """A worker finishes executing one batch (a list of :class:`IntermediateQuery`)."""
 
     __slots__ = ("worker", "batch")
-
-    kind = "batch_complete"
 
     def __init__(self, time_s: float, worker, batch):
         self.time_s = time_s
@@ -210,8 +163,6 @@ class ModelReadyEvent(Event):
 
     __slots__ = ("worker",)
 
-    kind = "model_ready"
-
     def __init__(self, time_s: float, worker):
         self.time_s = time_s
         self.cancelled = False
@@ -227,8 +178,6 @@ class SwapCompleteEvent(Event):
 
     __slots__ = ("worker",)
 
-    kind = "swap_complete"
-
     def __init__(self, time_s: float, worker):
         self.time_s = time_s
         self.cancelled = False
@@ -243,8 +192,6 @@ class ControlTickEvent(Event):
     """End-of-second demand report and control-plane step."""
 
     __slots__ = ("sim",)
-
-    kind = "control_tick"
 
     def __init__(self, time_s: float, sim):
         self.time_s = time_s
@@ -295,10 +242,9 @@ class EventQueue:
 
         Two loading strategies, picked by cost: a whole-trace preload
         (batch comparable to or larger than the live calendar) appends and
-        re-heapifies in O(n + m); a small batch landing in a big calendar --
-        the batched dispatch mode bulk-schedules one burst's deliveries at a
-        time -- pushes each event in O(m log n) instead of paying a full
-        re-heapify per burst.
+        re-heapifies in O(n + m); a small batch landing in a big calendar
+        pushes each event in O(m log n) instead of paying a full
+        re-heapify.
         """
         if not isinstance(events, list):
             events = list(events)

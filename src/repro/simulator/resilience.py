@@ -26,11 +26,10 @@ Design rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.simulator.calendar import KIND_COLUMNAR_DELIVERY
 from repro.simulator.events import CallbackEvent, RoutedDeliveryEvent
 from repro.simulator.query import IntermediateQuery, Request, RequestStatus
 
@@ -136,12 +135,6 @@ class ResilienceManager:
     def __init__(self, sim: "ServingSimulation", config: ResilienceConfig):
         self.sim = sim
         self.cfg = config
-        if config.request_timeout_ms is not None or config.hedging_enabled or config.max_retries > 0:
-            if sim.config.dispatch_mode != "scalar":
-                raise ValueError(
-                    "retries, timeouts and hedging require dispatch_mode='scalar'; "
-                    "only failover_requeue is supported on the batched/columnar paths"
-                )
         self.rng = np.random.default_rng((int(sim.config.seed), _RNG_SALT))
         self.timeout_s: Optional[float] = (
             None if config.request_timeout_ms is None else config.request_timeout_ms / 1000.0
@@ -375,7 +368,7 @@ class ResilienceManager:
         return self.cfg.failover_requeue
 
     def requeue_queries(self, queries: Sequence[IntermediateQuery], task: str) -> None:
-        """Re-queue object-path queries stranded on a failed worker."""
+        """Re-queue queries stranded on a failed worker."""
         sim = self.sim
         now = sim.engine.now_s
         for query in queries:
@@ -386,28 +379,3 @@ class ResilienceManager:
             self._tele_failover.value += 1
             delay_s = sim.network.sample_delay_s(self.rng)
             sim.engine.schedule_event(RoutedDeliveryEvent(now + delay_s, sim, target, query))
-
-    def requeue_columnar(self, reqs: Sequence[int], accs: Sequence[float], task: str) -> None:
-        """Re-queue columnar rows stranded on a failed worker."""
-        sim = self.sim
-        now = sim.engine.now_s
-        keep_req: List[int] = []
-        keep_acc: List[float] = []
-        keep_target: List[str] = []
-        lost: List[int] = []
-        for req, acc in zip(reqs, accs):
-            target = self._route(task)
-            if target is None:
-                lost.append(req)
-            else:
-                keep_req.append(req)
-                keep_acc.append(acc)
-                keep_target.append(target)
-        if lost:
-            sim.notify_drop_ids(lost, reason="worker failed")
-        if keep_req:
-            self._tele_failover.value += len(keep_req)
-            times = now + sim.network.sample_delays_s(self.rng, len(keep_req))
-            sim.engine.push_columnar(
-                times, KIND_COLUMNAR_DELIVERY, keep_req, keep_target, keep_acc
-            )

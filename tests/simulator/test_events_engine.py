@@ -141,8 +141,7 @@ class TestEventQueue:
 
         frontend = FakeFrontend()
         queue = EventQueue()
-        event = queue.push(ArrivalEvent(1.0, frontend))
-        assert event.kind == "arrival"
+        queue.push(ArrivalEvent(1.0, frontend))
         queue.pop().run()
         assert frontend.submissions == 1
 

@@ -6,7 +6,9 @@ import pytest
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
 from repro.baselines import StaticPlanControlPlane
+from repro.scenarios import get_scenario
 from repro.simulator import ServingSimulation, SimulationConfig
+from repro.simulator.events import ArrivalEvent
 from repro.simulator.network import NetworkModel
 from repro.workloads import constant_trace, ramp_trace
 
@@ -51,17 +53,39 @@ class TestNetworkModel:
             expected = max(0.0, 3.0 + float(legacy.uniform(-1.0, 1.0)))
             assert model.sample_latency_ms(new) == expected
 
-    def test_vectorized_delays_match_distribution(self, rng):
-        model = NetworkModel(latency_ms=3.0, jitter_ms=1.0)
-        delays = model.sample_delays_s(rng, 5_000)
-        assert delays.shape == (5_000,)
-        assert float(delays.min()) >= 0.002 - 1e-12
-        assert float(delays.max()) <= 0.004 + 1e-12
-        assert float(delays.mean()) == pytest.approx(0.003, abs=5e-5)
 
-    def test_vectorized_delays_constant_without_jitter(self, rng):
-        model = NetworkModel(latency_ms=3.0, jitter_ms=0.0)
-        assert list(model.sample_delays_s(rng, 3)) == pytest.approx([0.003] * 3)
+class TestScalarGolden:
+    #: captured from the smoke scenario before batched dispatch existed; the
+    #: request lifecycle must keep reproducing these digits exactly
+    GOLDEN = {
+        "total_requests": 316,
+        "completed_requests": 312,
+        "violated_requests": 4,
+        "slo_violation_ratio": 0.012658227848101266,
+        "mean_accuracy": 1.0,
+        # latency digits pinned later, from the same run
+        "mean_latency_ms": 42.93086954021579,
+        "p99_latency_ms": 129.47074337120782,
+    }
+
+    def test_smoke_summary_matches_pre_batching_golden(self):
+        summary = get_scenario("smoke").run(seed=0)
+        for field, expected in self.GOLDEN.items():
+            observed = getattr(summary, field)
+            if isinstance(expected, int):
+                assert observed == expected, field
+            else:
+                assert observed == pytest.approx(expected, rel=1e-12), field
+
+
+class TestArrivalPreload:
+    def test_preloads_one_arrival_event_per_query(self):
+        simulation = get_scenario("smoke").build(seed=0)
+        simulation._bootstrap()
+        simulation._schedule_workload()
+        events = [entry[2] for entry in sorted(simulation.engine.queue._heap)]
+        arrivals = [e for e in events if isinstance(e, ArrivalEvent)]
+        assert len(arrivals) == len(simulation._arrival_times)
 
 
 class TestEndToEndSimulation:
