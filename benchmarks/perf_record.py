@@ -1,7 +1,7 @@
 """Machine-readable performance record shared by the benchmark suite.
 
 Benchmarks that measure a tracked number (events/s, dispatch-mode speedups,
-routing/solver ablations) report it here; :func:`update` merges the values
+the routing ablation) report it here; :func:`update` merges the values
 into one JSON document — ``BENCH_throughput.json`` at the repository root by
 default, or wherever ``$BENCH_RECORD_PATH`` points — and the CI workflow
 uploads that file as a build artifact, so the perf trajectory of the project

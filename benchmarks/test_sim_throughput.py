@@ -1,9 +1,8 @@
 """Simulator throughput benchmark: events/second of the event engine.
 
-Tracks the simulator the way ``test_ablation_solver_backends.py`` tracks the
-solver: one dispatch ablation against a faithful replica of the seed engine,
-plus the absolute events/sec and wall clock of a registered reference
-scenario (so future PRs can see regressions in the full
+Tracks the simulator with one dispatch ablation against a faithful replica
+of the seed engine, plus the absolute events/sec and wall clock of a
+registered reference scenario (so future PRs can see regressions in the full
 pipeline, not just the raw event loop).  Every tracked number is also merged
 into the machine-readable perf record (``BENCH_throughput.json``, see
 ``benchmarks/perf_record.py``) which CI uploads as an artifact.

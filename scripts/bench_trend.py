@@ -2,7 +2,7 @@
 """Perf-trajectory report: diff ``BENCH_throughput.json`` records across commits.
 
 The benchmark suite merges every tracked number (events/s, engine and
-routing/solver ablations) into ``BENCH_throughput.json`` and CI
+routing ablations) into ``BENCH_throughput.json`` and CI
 uploads it per run; this script turns those per-commit snapshots into an
 actual regression radar.  It walks the commits that touched the record file,
 extracts each version with ``git show``, and renders one trend table — rows

@@ -53,14 +53,14 @@ class InferLineAllocationPolicy(AllocationPolicy):
         self,
         variant_selection: Optional[Mapping[str, str]] = None,
         communication_latency_ms: float = 2.0,
-        solver_backend: str = "auto",
+        solver_options: Optional[Dict[str, object]] = None,
     ):
         super().__init__()
         self._requested_selection = variant_selection
         self.variant_selection: Dict[str, str] = {}
         self.restricted_pipeline: Optional[Pipeline] = None
         self.communication_latency_ms = float(communication_latency_ms)
-        self.solver_backend = solver_backend
+        self.solver_options = solver_options
 
     def bind(self, engine) -> None:
         super().bind(engine)
@@ -81,7 +81,7 @@ class InferLineAllocationPolicy(AllocationPolicy):
             latency_slo_ms=engine.latency_slo_ms,
             communication_latency_ms=self.communication_latency_ms,
             multiplicative_factors=engine.multiplier_estimates,
-            solver_backend=self.solver_backend,
+            solver_options=self.solver_options,
         )
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
@@ -131,13 +131,13 @@ class InferLineControlPlane(BaselineControlPlane):
         num_workers: int,
         variant_selection: Optional[Mapping[str, str]] = None,
         communication_latency_ms: float = 2.0,
-        solver_backend: str = "auto",
+        solver_options: Optional[Dict[str, object]] = None,
         **kwargs,
     ):
         policy = InferLineAllocationPolicy(
             variant_selection=variant_selection,
             communication_latency_ms=communication_latency_ms,
-            solver_backend=solver_backend,
+            solver_options=solver_options,
         )
         super().__init__(pipeline, num_workers, allocation_policy=policy, **kwargs)
 
@@ -153,7 +153,3 @@ class InferLineControlPlane(BaselineControlPlane):
     @property
     def communication_latency_ms(self) -> float:
         return self.allocation.communication_latency_ms
-
-    @property
-    def solver_backend(self) -> str:
-        return self.allocation.solver_backend

@@ -128,7 +128,7 @@ def run(
     Every demand point is an independent MILP solve, so the sweep fans them
     across processes through :meth:`SweepRunner.map`; each point builds its
     own :class:`AllocationProblem`, which keeps the serial and parallel paths
-    bit-identical (no shared warm-start or cache state across points).
+    bit-identical (no shared cache state across points).
     """
     pipeline = pipeline or traffic_analysis_pipeline(latency_slo_ms=slo_ms)
     problem = AllocationProblem(

@@ -1,32 +1,20 @@
 """Mixed-integer linear programming substrate used by the Loki control plane.
 
-The paper solves its resource-allocation problem with Gurobi.  This package
-provides a from-scratch replacement consisting of:
+The paper solves its resource-allocation problem with Gurobi; this package
+hands the same MILPs to HiGHS through ``scipy.optimize.milp``:
 
 * :mod:`repro.solver.model` -- a small modelling layer (variables, linear
-  expressions, constraints, objective) that is backend agnostic.
-* :mod:`repro.solver.scipy_backend` -- a backend on top of
-  ``scipy.optimize.milp`` (HiGHS), used by default when SciPy is available.
-* :mod:`repro.solver.simplex` -- a dense, warm-startable two-phase
-  primal/dual simplex implementation in pure NumPy.
-* :mod:`repro.solver.branch_and_bound` -- a best-first branch-and-bound MILP
-  solver whose LP relaxations are warm-started from the parent basis.
-* :mod:`repro.solver.greedy` -- an LP-relaxation rounding heuristic that
-  produces feasible (not necessarily optimal) integer solutions quickly.
-* :mod:`repro.solver.heuristics` -- the shared round-fix-resolve repair used
-  by the greedy backend and the branch-and-bound incumbent heuristic.
+  expressions, constraints, objective).
+* :mod:`repro.solver.scipy_backend` -- converts a model to matrix form and
+  solves it with HiGHS.
 * :mod:`repro.solver.cache` -- model fingerprinting and the LRU solution
   cache behind :func:`solve`.
 
-All backends consume the same :class:`~repro.solver.model.Model` object and
-return a :class:`~repro.solver.model.Solution`.  :func:`solve` is the unified
-entry point: it picks a backend, consults the solution cache, and forwards
-warm starts to backends that understand them.
+:func:`solve` is the entry point: it consults the solution cache and runs
+HiGHS on a miss.
 """
 
-from typing import Dict, Mapping, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.solver.model import (
     INFEASIBLE,
@@ -42,10 +30,7 @@ from repro.solver.model import (
     Variable,
 )
 from repro.solver.cache import SolutionCache, default_cache, fingerprint_model
-from repro.solver.scipy_backend import ScipyMilpBackend, solve_with_scipy
-from repro.solver.branch_and_bound import BranchAndBoundSolver
-from repro.solver.greedy import GreedyRoundingSolver
-from repro.solver.simplex import LinProgProblem, SimplexSolver, SimplexResult, WarmStart
+from repro.solver.scipy_backend import ScipyMilpBackend
 
 __all__ = [
     "INFEASIBLE",
@@ -60,100 +45,34 @@ __all__ = [
     "SolverError",
     "Variable",
     "ScipyMilpBackend",
-    "solve_with_scipy",
-    "BranchAndBoundSolver",
-    "GreedyRoundingSolver",
-    "SimplexSolver",
-    "SimplexResult",
-    "LinProgProblem",
-    "WarmStart",
     "SolutionCache",
     "default_cache",
     "fingerprint_model",
     "solve",
 ]
 
-WarmStartLike = Union[Solution, Mapping[str, float], np.ndarray]
 
-
-def _scipy_available() -> bool:
-    try:  # pragma: no cover - scipy is baked into the container
-        import scipy.optimize  # noqa: F401
-    except ImportError:  # pragma: no cover
-        return False
-    return True
-
-
-def resolve_backend(backend: str) -> str:
-    """Map ``"auto"`` to a concrete backend for this environment."""
-    if backend != "auto":
-        return backend
-    if _scipy_available():
-        return "scipy"
-    return "bnb"
-
-
-def _warm_vector(model: Model, warm_start: Optional[WarmStartLike]) -> Optional[np.ndarray]:
-    """Convert a warm start (Solution / name->value mapping / raw vector) to
-    a vector in this model's column order.
-
-    Solutions and mappings are matched *by variable name*, so a solution of a
-    structurally different model from an earlier control period still seeds
-    whatever variables the two models share; unknown variables fall back to
-    their lower bound.
-    """
-    if warm_start is None:
-        return None
-    if isinstance(warm_start, np.ndarray):
-        return warm_start if warm_start.shape == (model.num_vars,) else None
-    values: Mapping[str, float]
-    if isinstance(warm_start, Solution):
-        if not warm_start.values:
-            return None
-        values = warm_start.values
-    else:
-        values = warm_start
-    x0 = np.array([float(values.get(v.name, v.lb)) for v in model.variables])
-    return x0
-
-
-def solve(
-    model: Model,
-    backend: str = "auto",
-    warm_start: Optional[WarmStartLike] = None,
-    cache: Union[bool, SolutionCache, None] = True,
-    **kwargs,
-) -> Solution:
-    """Solve ``model`` with the requested backend.
+def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **options) -> Solution:
+    """Solve ``model`` with HiGHS.
 
     Parameters
     ----------
     model:
         A :class:`repro.solver.model.Model` instance.
-    backend:
-        One of ``"auto"``, ``"scipy"``, ``"bnb"`` (branch and bound) or
-        ``"greedy"``.  ``"auto"`` prefers the SciPy/HiGHS backend and falls
-        back to the warm-started branch and bound if SciPy is unavailable.
-    warm_start:
-        A previous :class:`Solution`, a ``{variable name: value}`` mapping,
-        or a raw vector in model column order.  Backends that support warm
-        starting (``bnb``, ``greedy``) use it to seed their incumbent;
-        ``scipy`` ignores it.  Matching is by variable name, so warm starts
-        survive model rebuilds across control periods.
     cache:
         ``True`` (default) consults the process-wide solution cache keyed by
         the model's content fingerprint; pass a :class:`SolutionCache` to use
         a private cache, or ``False``/``None`` to bypass caching.  Hits carry
         ``info["cache"] == "hit"``.
-    kwargs:
-        Forwarded to the backend constructor.
+    options:
+        Forwarded to :class:`ScipyMilpBackend` (``time_limit``,
+        ``mip_rel_gap``, ``presolve``, ``node_limit``).
 
     Returns
     -------
     Solution
     """
-    resolved = resolve_backend(backend)
-
+    backend = ScipyMilpBackend(**options)  # unknown options raise here, hit or miss
     cache_obj: Optional[SolutionCache]
     if cache is True:
         cache_obj = default_cache
@@ -166,39 +85,12 @@ def solve(
     fingerprint = None
     if cache_obj is not None:
         fingerprint = fingerprint_model(model)
-        cache_key = SolutionCache.key(fingerprint, resolved, kwargs)
+        cache_key = SolutionCache.key(fingerprint, options)
         cached = cache_obj.get(cache_key)
         if cached is not None:
             return cached
 
-    if resolved == "scipy":
-        try:
-            solution = ScipyMilpBackend(**kwargs).solve(model)
-        except ImportError:  # pragma: no cover - scipy is a hard dependency here
-            solution = BranchAndBoundSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-    elif resolved == "bnb":
-        solution = BranchAndBoundSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-        if solution.status == ERROR:
-            # Budget exhausted without an incumbent (possible on models far
-            # above the backend's sweet spot): the greedy heuristic chain
-            # (rounding repair -> dive -> bounded exact fallback) usually
-            # still produces a feasible plan.  Better a near-optimal feasible
-            # answer than an error the control plane must degrade around.
-            # The rescue respects the caller's time budget rather than the
-            # greedy default.
-            rescue_kwargs = {}
-            if "relaxation" in kwargs:
-                rescue_kwargs["relaxation"] = kwargs["relaxation"]
-            if kwargs.get("time_limit") is not None:
-                rescue_kwargs["fallback_time_limit"] = float(kwargs["time_limit"])
-            rescue = GreedyRoundingSolver(**rescue_kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-            if rescue.status == OPTIMAL:
-                rescue.info["rescued_from"] = "bnb-error"
-                solution = rescue
-    elif resolved == "greedy":
-        solution = GreedyRoundingSolver(**kwargs).solve(model, warm_start=_warm_vector(model, warm_start))
-    else:
-        raise ValueError(f"unknown solver backend: {backend!r}")
+    solution = backend.solve(model)
 
     solution.info.setdefault("cache", "miss" if cache_obj is not None else "off")
     if fingerprint is not None:

@@ -6,8 +6,7 @@ modelling layer those formulations are written against.  It intentionally
 mirrors the look-and-feel of commercial modelling APIs (``model.add_var``,
 ``expr <= rhs``, ``model.maximize``) so the allocation code in
 :mod:`repro.core.allocation` reads close to the paper's notation, while the
-actual solve is delegated to one of the interchangeable backends in this
-package.
+actual solve is delegated to HiGHS (:mod:`repro.solver.scipy_backend`).
 
 The layer is deliberately dense-matrix friendly: Loki's MILPs have at most a
 few thousand variables (configurations x batch sizes x paths), so we favour
@@ -37,7 +36,7 @@ __all__ = [
     "ERROR",
 ]
 
-#: Solution status constants shared by every backend.
+#: Solution status constants.
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -390,7 +389,7 @@ class Model:
         """Return ``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` for *minimisation*.
 
         The objective vector ``c`` is already adjusted for maximisation
-        problems (the sign flip is applied), so every backend minimises
+        problems (the sign flip is applied), so the backend minimises
         ``c @ x`` and reports ``objective_sign * (c @ x)``... i.e. callers
         should use :meth:`recover_objective`.
 

@@ -1,6 +1,6 @@
 """MILP backend on top of ``scipy.optimize.milp`` (HiGHS).
 
-This is the default engine used by the Loki resource manager.  It plays the
+This is the engine behind :func:`repro.solver.solve`.  It plays the
 role Gurobi plays in the paper: the modelling layer in
 :mod:`repro.solver.model` is converted into the matrix form expected by
 HiGHS and solved to optimality.
@@ -25,7 +25,7 @@ from repro.solver.model import (
     SolverError,
 )
 
-__all__ = ["ScipyMilpBackend", "solve_with_scipy"]
+__all__ = ["ScipyMilpBackend"]
 
 
 class ScipyMilpBackend:
@@ -119,10 +119,4 @@ class ScipyMilpBackend:
         # numerical noise from the relaxation.
         for idx in model.integer_indices:
             x[idx] = round(x[idx])
-        solution = model.make_solution(x, status=OPTIMAL, **info)
-        return solution
-
-
-def solve_with_scipy(model: Model, **kwargs) -> Solution:
-    """Convenience wrapper: ``ScipyMilpBackend(**kwargs).solve(model)``."""
-    return ScipyMilpBackend(**kwargs).solve(model)
+        return model.make_solution(x, status=OPTIMAL, **info)

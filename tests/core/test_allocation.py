@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.allocation import (
     ACCURACY_SCALING,
+    DEFAULT_SOLVER_OPTIONS,
     HARDWARE_SCALING,
     AllocationProblem,
     build_accuracy_scaling_model,
@@ -201,6 +202,17 @@ class TestInfeasibleSLO:
         assert problem.config_paths() == []
         plan = problem.solve(10.0)
         assert not plan.feasible
+
+
+class TestSolverBudget:
+    def test_default_budget_is_copied_per_problem(self, small_pipeline):
+        """Tuning one problem's budget must not move the shared default."""
+        frozen = dict(DEFAULT_SOLVER_OPTIONS)
+        problem = AllocationProblem(small_pipeline, num_workers=10)
+        assert problem.solver_options == DEFAULT_SOLVER_OPTIONS
+        problem.solver_options["node_limit"] = 5
+        assert DEFAULT_SOLVER_OPTIONS == frozen
+        assert AllocationProblem(small_pipeline, num_workers=10).solver_options == frozen
 
 
 class TestPlanHelpers:

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.core.allocation import DEFAULT_SOLVER_OPTIONS
 from repro.scenarios import (
     FaultSpec,
     ScenarioSpec,
@@ -13,6 +14,8 @@ from repro.scenarios import (
     register,
     scenario_names,
 )
+from repro.scenarios.spec import SYSTEM_FACTORIES
+from repro.solver import ScipyMilpBackend
 from repro.workloads import constant_trace
 
 
@@ -90,6 +93,40 @@ class TestScenarioSpec:
         spec = ScenarioSpec(name="bad", pipeline="single_task", trace="nonexistent")
         with pytest.raises(KeyError):
             spec.build(0)
+
+    @staticmethod
+    def solver_options_of_first_plan(system, control_overrides, monkeypatch):
+        """The options of every HiGHS backend built while planning 30 qps."""
+        spec = ScenarioSpec(name="budgeted", system=system, control_overrides=control_overrides, **TINY)
+        control = spec.build(seed=0).control_plane
+        seen = []
+        original_init = ScipyMilpBackend.__init__
+
+        def recording_init(backend, **options):
+            seen.append(options)
+            original_init(backend, **options)
+
+        monkeypatch.setattr(ScipyMilpBackend, "__init__", recording_init)
+        control.report_demand(0.0, 30.0)
+        plan, _ = control.step(0.0, force=True)
+        assert plan is not None and plan.allocations
+        assert seen
+        return seen
+
+    @pytest.mark.parametrize("system", sorted(SYSTEM_FACTORIES))
+    def test_solver_budget_reaches_every_system(self, system, monkeypatch):
+        """A deterministic node budget in ``control_overrides`` builds on every
+        serving system, and every allocation MILP is solved under it."""
+        budget = {"mip_rel_gap": 2e-3, "time_limit": None, "node_limit": 321}
+        seen = self.solver_options_of_first_plan(system, {"solver_options": budget}, monkeypatch)
+        assert all(options == budget for options in seen)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEM_FACTORIES))
+    def test_default_solver_budget_is_shared_by_every_system(self, system, monkeypatch):
+        """Without a budget, every serving system solves under the one
+        module-level default."""
+        seen = self.solver_options_of_first_plan(system, {}, monkeypatch)
+        assert all(options == DEFAULT_SOLVER_OPTIONS for options in seen)
 
 
 class TestDeterminism:

@@ -1,19 +1,20 @@
-"""Tests for the MILP solver backends (scipy/HiGHS, branch & bound, greedy).
-
-All backends are exercised on the same small problem set so their answers can
-be cross-checked against each other and against hand-computed optima.
-"""
+"""Tests for the HiGHS backend and the :func:`repro.solver.solve` entry point,
+on small models with hand-computed optima."""
 
 
 import pytest
 
+from repro.core import ControllerConfig
+from repro.core.allocation import AllocationProblem
+from repro.core.resource_manager import ResourceManager
+from repro.scenarios import get_scenario
+from repro.scenarios.spec import SYSTEM_FACTORIES
 from repro.solver import (
-    BranchAndBoundSolver,
-    GreedyRoundingSolver,
     INFEASIBLE,
     Model,
     OPTIMAL,
     ScipyMilpBackend,
+    SolutionCache,
     UNBOUNDED,
     solve,
 )
@@ -64,43 +65,44 @@ def infeasible_model():
     return m
 
 
-BACKENDS = {
-    "scipy": lambda: ScipyMilpBackend(),
-    "bnb-scipy": lambda: BranchAndBoundSolver(relaxation="scipy"),
-    "bnb-simplex": lambda: BranchAndBoundSolver(relaxation="simplex"),
-}
-
-
-@pytest.mark.parametrize("backend_name", list(BACKENDS))
-class TestBackendsAgree:
-    def test_knapsack_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(knapsack_model())
+class TestScipyBackend:
+    def test_knapsack_optimum(self):
+        solution = ScipyMilpBackend().solve(knapsack_model())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(14.0, abs=1e-6)
         assert solution["a"] == pytest.approx(1.0)
         assert solution["c"] == pytest.approx(1.0)
 
-    def test_covering_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(covering_model())
+    def test_covering_optimum(self):
+        solution = ScipyMilpBackend().solve(covering_model())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(4.0, abs=1e-6)
 
-    def test_lp_optimum(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(lp_model())
+    def test_lp_optimum(self):
+        solution = ScipyMilpBackend().solve(lp_model())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(8.0, abs=1e-6)
 
-    def test_infeasible_detected(self, backend_name):
-        solution = BACKENDS[backend_name]().solve(infeasible_model())
+    def test_infeasible_detected(self):
+        solution = ScipyMilpBackend().solve(infeasible_model())
         assert solution.status == INFEASIBLE
 
-    def test_solution_is_feasible_point(self, backend_name):
+    def test_solution_is_feasible_point(self):
         model = knapsack_model()
-        solution = BACKENDS[backend_name]().solve(model)
+        solution = ScipyMilpBackend().solve(model)
         assert model.is_feasible_point(solution.x)
 
+    def test_mixed_integer_continuous(self):
+        m = Model("mixed")
+        x = m.add_var("x", integer=True, ub=10)
+        y = m.add_var("y", ub=10)
+        m.add_constraint(x + y <= 7.5)
+        m.maximize(2 * x + y)
+        solution = ScipyMilpBackend().solve(m)
+        assert solution.status == OPTIMAL
+        assert solution["x"] == pytest.approx(7.0)
+        assert solution["y"] == pytest.approx(0.5, abs=1e-6)
 
-class TestScipyBackend:
     def test_empty_model(self):
         solution = ScipyMilpBackend().solve(Model("empty"))
         assert solution.status == OPTIMAL
@@ -123,78 +125,104 @@ class TestScipyBackend:
         assert solution.info["runtime_s"] >= 0
 
 
-class TestBranchAndBound:
-    def test_respects_node_budget(self):
-        solver = BranchAndBoundSolver(max_nodes=1)
-        solution = solver.solve(knapsack_model())
-        # With a single node the solver cannot prove optimality but must not crash.
-        assert solution.status in (OPTIMAL, INFEASIBLE, "error")
-
-    def test_reports_node_count(self):
-        solution = BranchAndBoundSolver().solve(knapsack_model())
-        assert solution.info["nodes"] >= 1
-        assert solution.info["optimal_proven"] in (True, False)
-
-    def test_continuous_only_problem(self):
-        solution = BranchAndBoundSolver().solve(lp_model())
+class TestSolve:
+    def test_solves_with_highs(self):
+        solution = solve(knapsack_model(), cache=False)
         assert solution.status == OPTIMAL
-        assert solution.objective == pytest.approx(8.0, abs=1e-6)
+        assert solution.info["backend"] == "scipy-highs"
 
-    def test_unknown_relaxation_rejected(self):
-        with pytest.raises(ValueError):
-            BranchAndBoundSolver(relaxation="magic")
-
-    def test_mixed_integer_continuous(self):
-        m = Model("mixed")
-        x = m.add_var("x", integer=True, ub=10)
-        y = m.add_var("y", ub=10)
-        m.add_constraint(x + y <= 7.5)
-        m.maximize(2 * x + y)
-        solution = BranchAndBoundSolver().solve(m)
+    def test_options_reach_highs(self):
+        solution = solve(covering_model(), cache=False, mip_rel_gap=1e-3, node_limit=1_000)
         assert solution.status == OPTIMAL
-        assert solution["x"] == pytest.approx(7.0)
-        assert solution["y"] == pytest.approx(0.5, abs=1e-6)
+        assert solution.objective == pytest.approx(4.0, abs=1e-6)
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(TypeError):
+            solve(knapsack_model(), relative_gap=1e-3)
 
 
-class TestGreedyRounding:
-    def test_feasible_solution_on_covering(self):
-        model = covering_model()
-        solution = GreedyRoundingSolver().solve(model)
+def cluster_cap_model():
+    """min x + y s.t. x + y <= 3, 2x + y >= 4, integer: optimum 2 at (2, 0)."""
+    m = Model("cap")
+    x = m.add_var("x", integer=True)
+    y = m.add_var("y", integer=True)
+    m.add_constraint(x + y <= 3)
+    m.add_constraint(2 * x + y >= 4)
+    m.minimize(x + y)
+    return m
+
+
+class TestHighsOnHandModels:
+    def test_cluster_style_cap(self):
+        model = cluster_cap_model()
+        solution = solve(model, cache=False)
         assert solution.status == OPTIMAL
+        assert solution.objective == pytest.approx(2.0, abs=1e-6)
         assert model.is_feasible_point(solution.x)
-        # Greedy may be suboptimal but never better than the optimum.
-        assert solution.objective >= 4.0 - 1e-9
 
-    def test_respects_cluster_style_cap(self):
-        m = Model("cap")
-        x = m.add_var("x", integer=True)
-        y = m.add_var("y", integer=True)
-        m.add_constraint(x + y <= 3)
-        m.add_constraint(2 * x + y >= 4)
-        m.minimize(x + y)
-        solution = GreedyRoundingSolver().solve(m)
-        assert solution.status == OPTIMAL
-        assert m.is_feasible_point(solution.x)
+    def test_covering_solution_is_feasible_point(self):
+        model = covering_model()
+        solution = solve(model, cache=False)
+        assert model.is_feasible_point(solution.x)
+        assert 3 * solution["x"] + 2 * solution["y"] >= 12
 
-    def test_infeasible_problem(self):
-        solution = GreedyRoundingSolver().solve(infeasible_model())
-        assert solution.status == INFEASIBLE
-
-    def test_marks_solution_as_heuristic(self):
-        solution = GreedyRoundingSolver().solve(knapsack_model())
-        assert solution.info.get("optimal_proven") is False
+    def test_proven_optimum_reports_its_gap(self):
+        solution = solve(knapsack_model(), cache=False)
+        assert solution.info["optimal_proven"] is True
+        assert solution.info["mip_gap"] <= 1e-6
 
 
-class TestSolveDispatcher:
-    def test_auto_uses_scipy(self):
-        solution = solve(knapsack_model(), backend="auto")
-        assert solution.status == OPTIMAL
+HAND_MODELS = {
+    "knapsack": knapsack_model,
+    "covering": covering_model,
+    "lp": lp_model,
+    "infeasible": infeasible_model,
+    "cluster_cap": cluster_cap_model,
+}
 
-    @pytest.mark.parametrize("backend", ["scipy", "bnb", "greedy"])
-    def test_named_backends(self, backend):
-        solution = solve(covering_model(), backend=backend)
-        assert solution.status == OPTIMAL
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            solve(knapsack_model(), backend="gurobi")
+@pytest.mark.parametrize("name", sorted(HAND_MODELS))
+def test_cached_solve_matches_uncached(name):
+    """A cache miss stores, and a hit replays, exactly what HiGHS returned --
+    statuses without a point included."""
+    cache = SolutionCache(maxsize=4)
+    uncached = solve(HAND_MODELS[name](), cache=False)
+    miss = solve(HAND_MODELS[name](), cache=cache)
+    hit = solve(HAND_MODELS[name](), cache=cache)
+    assert (miss.info["cache"], hit.info["cache"]) == ("miss", "hit")
+    for solution in (miss, hit):
+        assert solution.status == uncached.status
+        assert solution.values == uncached.values
+        if uncached.status == OPTIMAL:
+            assert solution.objective == uncached.objective
+
+
+REMOVED_KNOBS = {"solver_backend": "bnb", "solver_warm_start": False}
+
+
+def _build_every_system(small_pipeline, knob):
+    for system in sorted(SYSTEM_FACTORIES):
+        get_scenario("smoke").with_overrides(system=system, control_overrides=knob).build(seed=0)
+
+
+REMOVED_KNOB_LAYERS = {
+    "ControllerConfig": lambda small_pipeline, knob: ControllerConfig(**knob),
+    "ResourceManager": lambda small_pipeline, knob: ResourceManager(small_pipeline, num_workers=8, **knob),
+    "AllocationProblem": lambda small_pipeline, knob: AllocationProblem(small_pipeline, num_workers=8, **knob),
+    "control_overrides": _build_every_system,
+}
+
+
+@pytest.mark.parametrize("layer", sorted(REMOVED_KNOB_LAYERS))
+@pytest.mark.parametrize("knob", sorted(REMOVED_KNOBS))
+def test_removed_solver_knobs_fail_loudly(knob, layer, small_pipeline):
+    """Backend selection and warm starts are not options: asking for them is
+    an error at every layer, never a silent fall-through to HiGHS."""
+    with pytest.raises(TypeError):
+        REMOVED_KNOB_LAYERS[layer](small_pipeline, {knob: REMOVED_KNOBS[knob]})
+
+
+@pytest.mark.parametrize("argument", [{"backend": "bnb"}, {"warm_start": {"a": 1.0}}], ids=["backend", "warm_start"])
+def test_solve_rejects_removed_arguments(argument):
+    with pytest.raises(TypeError):
+        solve(knapsack_model(), **argument)

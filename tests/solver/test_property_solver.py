@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import BranchAndBoundSolver, Model, OPTIMAL, ScipyMilpBackend
-from repro.solver.simplex import LinProgProblem, SimplexSolver
+from repro.solver import Model, OPTIMAL, ScipyMilpBackend
+from tests.solver.reference import BoxMilp, reference_solve
 
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -44,25 +44,23 @@ class TestKnapsackProperties:
         weights=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=6),
         capacity=st.integers(min_value=1, max_value=20),
     )
-    def test_scipy_and_bnb_agree_on_knapsack(self, weights, capacity):
-        """Both exact backends must find the same optimal knapsack value."""
+    def test_highs_matches_reference_on_knapsack(self, weights, capacity):
+        """HiGHS must find the enumerated optimal knapsack value."""
         values = [w + 1 for w in weights]  # correlated values keep it non-trivial
-        m = Model("hyp-knapsack")
-        xs = [m.add_var(f"x{i}", ub=1, integer=True) for i in range(len(weights))]
-        weight_expr = xs[0] * weights[0]
-        value_expr = xs[0] * values[0]
-        for x, w, v in zip(xs[1:], weights[1:], values[1:]):
-            weight_expr = weight_expr + x * w
-            value_expr = value_expr + x * v
-        m.add_constraint(weight_expr <= capacity)
-        m.maximize(value_expr)
-
-        scipy_solution = ScipyMilpBackend().solve(m)
-        bnb_solution = BranchAndBoundSolver().solve(m)
-        assert scipy_solution.status == OPTIMAL
-        assert bnb_solution.status == OPTIMAL
-        assert scipy_solution.objective == pytest.approx(bnb_solution.objective, abs=1e-6)
-        assert m.is_feasible_point(bnb_solution.x)
+        problem = BoxMilp(
+            c=np.array(values, dtype=float),
+            A=np.array([weights], dtype=float),
+            b=np.array([float(capacity)]),
+            ub=np.ones(len(weights)),
+            integer=np.ones(len(weights), dtype=bool),
+            maximize=True,
+        )
+        model = problem.to_model("hyp-knapsack")
+        status, objective = reference_solve(problem)
+        solution = ScipyMilpBackend().solve(model)
+        assert status == solution.status == OPTIMAL
+        assert solution.objective == pytest.approx(objective, abs=1e-6)
+        assert model.is_feasible_point(solution.x)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -86,26 +84,23 @@ class TestKnapsackProperties:
             assert provided >= demand - 1e-6
 
 
-class TestSimplexProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_simplex_matches_highs_on_random_lps(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 4, 3
-        A = rng.uniform(0.1, 2.0, size=(m, n))
-        b = A @ rng.uniform(0.5, 1.5, size=n) + rng.uniform(0.1, 1.0, size=m)
-        c = rng.uniform(-1.0, 1.0, size=n)
-        problem = LinProgProblem(
-            c=c, A_ub=A, b_ub=b, A_eq=np.zeros((0, n)), b_eq=np.zeros(0), lb=np.zeros(n), ub=np.full(n, 5.0)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        demand=st.floats(min_value=1.0, max_value=200.0),
+        throughputs=st.lists(st.floats(min_value=5.0, max_value=100.0), min_size=1, max_size=4),
+    )
+    def test_covering_matches_reference(self, demand, throughputs):
+        """HiGHS finds the fewest replicas that cover the demand."""
+        n = len(throughputs)
+        problem = BoxMilp(
+            c=np.ones(n),
+            A=-np.array([throughputs]),
+            b=np.array([-demand]),
+            ub=np.full(n, 20.0),
+            integer=np.ones(n, dtype=bool),
+            maximize=False,
         )
-        result = SimplexSolver().solve(problem)
-        from scipy.optimize import linprog
-
-        reference = linprog(c, A_ub=A, b_ub=b, bounds=[(0, 5.0)] * n, method="highs")
-        assert result.success == reference.success
-        if result.success:
-            assert result.objective == pytest.approx(reference.fun, abs=1e-5)
-            # The returned point must satisfy every constraint.
-            assert np.all(A @ result.x <= b + 1e-6)
-            assert np.all(result.x >= -1e-9)
-            assert np.all(result.x <= 5.0 + 1e-9)
+        status, objective = reference_solve(problem)
+        solution = ScipyMilpBackend().solve(problem.to_model("hyp-cover"))
+        assert status == solution.status == OPTIMAL  # 20 replicas of >= 5 qps cover 200 qps
+        assert solution.objective == pytest.approx(objective, abs=1e-6)

@@ -1,19 +1,18 @@
-"""Deterministic solver work limits (node / LP-iteration budgets).
+"""Deterministic solver work limits (HiGHS node budgets).
 
 Wall-clock limits make MILP results depend on machine load: a solve that
 terminates on ``time_limit`` returns whatever incumbent it happened to reach
-in the allotted seconds.  The work limits added here (``max_nodes`` +
-``max_lp_iterations`` on the bundled branch and bound, ``node_limit`` on the
-SciPy/HiGHS backend) bound the *work*, not the wall clock, so a budgeted
-solve returns the same plan on any machine — which is what lets full-grid
-fig5-style allocation MILPs run reproducibly (the parity suite previously
-had to restrict the batch grid to keep every solve under the wall clock).
+in the allotted seconds.  HiGHS's ``node_limit`` bounds the *work*, not the
+wall clock, so a budgeted solve returns the same plan on any machine — which
+is what lets full-grid fig5-style allocation MILPs run reproducibly (the
+parity suite previously had to restrict the batch grid to keep every solve
+under the wall clock).
 """
 
 import numpy as np
 
 from repro.core.allocation import AllocationProblem, build_accuracy_scaling_model
-from repro.solver import BranchAndBoundSolver, Model, OPTIMAL, ScipyMilpBackend, solve
+from repro.solver import LinExpr, Model, OPTIMAL, ScipyMilpBackend, solve
 from repro.zoo import traffic_analysis_pipeline
 
 
@@ -34,43 +33,46 @@ def knapsack_model(num_items: int = 14, seed: int = 3) -> Model:
     return model
 
 
-class TestBranchAndBoundWorkLimits:
-    def test_lp_iteration_budget_stops_the_search(self):
-        model = knapsack_model()
-        bounded = BranchAndBoundSolver(
-            time_limit=None, max_lp_iterations=5, relative_gap=0.0, absolute_gap=0.0,
-            use_incumbent_heuristic=False, tighten_bounds=False,
-        ).solve(model)
-        assert bounded.info["stop_reason"] == "lp_iteration_limit"
-        assert bounded.info["lp_iterations"] >= 5
-        assert not bounded.info.get("optimal_proven", False)
+def multi_knapsack_model(num_items: int = 40, num_rows: int = 5, seed: int = 0) -> Model:
+    """A binary multi-dimensional knapsack that HiGHS cannot close at the root."""
+    rng = np.random.default_rng(seed)
+    model = Model("multi-knapsack")
+    xs = [model.add_var(f"x{i}", ub=1.0, integer=True) for i in range(num_items)]
+    weights = rng.integers(10, 100, size=(num_rows, num_items))
+    values = rng.integers(10, 100, size=num_items)
+    for row in weights:
+        model.add_constraint(LinExpr.from_terms(zip(xs, map(float, row))) <= float(row.sum() // 2))
+    model.maximize(LinExpr.from_terms(zip(xs, map(float, values))))
+    return model
 
-    def test_unbudgeted_solve_reports_terminal_stop_reason(self):
-        solution = BranchAndBoundSolver(time_limit=None).solve(knapsack_model())
+
+class TestHighsNodeBudget:
+    #: no wall clock and no gap: only the node budget can stop the search
+    BUDGET = {"time_limit": None, "mip_rel_gap": 0.0, "node_limit": 1}
+
+    def test_node_budget_stops_before_the_proof(self):
+        model = multi_knapsack_model()
+        solution = ScipyMilpBackend(**self.BUDGET).solve(model)
+        # The root's incumbent comes back, but unproven.
         assert solution.status == OPTIMAL
-        assert solution.info["stop_reason"] in ("gap", "exhausted")
+        assert solution.info["optimal_proven"] is False
+        assert model.is_feasible_point(solution.x)
 
-    def test_work_limited_solve_is_deterministic(self):
-        """Two budgeted wall-clock-free solves must agree bit for bit."""
-        results = []
-        for _ in range(2):
-            solution = BranchAndBoundSolver(
-                time_limit=None, max_nodes=50, max_lp_iterations=2_000
-            ).solve(knapsack_model())
-            results.append(solution)
-        first, second = results
-        assert first.status == second.status == OPTIMAL
+    def test_unbudgeted_solve_proves_optimality(self):
+        model = multi_knapsack_model()
+        proven = ScipyMilpBackend(time_limit=None, mip_rel_gap=0.0).solve(model)
+        budgeted = ScipyMilpBackend(**self.BUDGET).solve(model)
+        assert proven.status == OPTIMAL
+        assert proven.info["optimal_proven"] is True
+        assert proven.objective >= budgeted.objective - 1e-9
+
+    def test_node_budgeted_solve_is_deterministic(self):
+        """A solve stopped by the node budget, not by the clock, returns the
+        same incumbent every time."""
+        first, second = (ScipyMilpBackend(**self.BUDGET).solve(multi_knapsack_model()) for _ in range(2))
+        assert first.info["optimal_proven"] is second.info["optimal_proven"] is False
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
-        assert first.info["nodes"] == second.info["nodes"]
-        assert first.info["lp_iterations"] == second.info["lp_iterations"]
-        assert first.info["stop_reason"] == second.info["stop_reason"]
-
-    def test_node_budget_still_returns_incumbent(self):
-        solution = BranchAndBoundSolver(time_limit=None, max_nodes=3).solve(knapsack_model())
-        # The root + heuristic produce an incumbent even under a tiny budget.
-        assert solution.status == OPTIMAL
-        assert solution.info["stop_reason"] == "node_limit"
 
 
 class TestScipyNodeLimit:
@@ -84,16 +86,13 @@ class TestScipyNodeLimit:
 
     def test_node_limit_flows_through_solver_options(self):
         """ControllerConfig.solver_options-style kwargs reach the backend."""
-        solution = solve(
-            knapsack_model(), backend="scipy", cache=False,
-            mip_rel_gap=2e-3, node_limit=50_000,
-        )
+        solution = solve(knapsack_model(), cache=False, mip_rel_gap=2e-3, node_limit=50_000)
         assert solution.status == OPTIMAL
 
 
 class TestFullGridAllocationDeterminism:
-    #: deterministic (wall-clock-free) options for the default HiGHS backend:
-    #: the work is bounded by a node budget instead of seconds
+    #: deterministic (wall-clock-free) HiGHS options: the work is bounded
+    #: by a node budget instead of seconds
     DETERMINISTIC_OPTIONS = {"time_limit": None, "node_limit": 20_000, "mip_rel_gap": 2e-3}
 
     def test_full_batch_grid_fig5_milp_is_reproducible(self):
@@ -113,7 +112,7 @@ class TestFullGridAllocationDeterminism:
         model = build_accuracy_scaling_model(problem, demand)
 
         solutions = [
-            solve(model, backend="scipy", cache=False, **self.DETERMINISTIC_OPTIONS)
+            solve(model, cache=False, **self.DETERMINISTIC_OPTIONS)
             for _ in range(2)
         ]
         first, second = solutions
