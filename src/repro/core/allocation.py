@@ -59,9 +59,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+from scipy import sparse
+
 from repro.core.pipeline import Pipeline, PathKey
 from repro.core.profiles import ModelVariant
-from repro.solver import Model, Solution, solve
+from repro.solver import MatrixModel, Sense, Solution, solve
 
 __all__ = [
     "Configuration",
@@ -85,6 +88,10 @@ ACCURACY_SCALING = "accuracy"
 #: Manager's runtime close to the paper's ~500 ms while staying within a
 #: fraction of a percent of the optimum.
 DEFAULT_SOLVER_OPTIONS: Dict[str, object] = {"mip_rel_gap": 2e-3, "time_limit": 3.0}
+
+#: system accuracy the accuracy-scaling objective credits, in total, for
+#: keeping the incumbent plan's variants (see ``_build_model``)
+STABILITY_BONUS = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +263,10 @@ class AllocationProblem:
     multiplicative_factors:
         Optional overrides ``{variant_name: factor}`` from runtime estimates
         (heartbeats); defaults to the profiled factors.
+
+    The configuration/path index and the last model's constraints are
+    cached, so the parameters above must not change after construction
+    (``solver_options`` may).
     """
 
     def __init__(
@@ -293,6 +304,9 @@ class AllocationProblem:
         for branch_index, task_path in enumerate(self._task_paths):
             for task in task_path:
                 self._designated_branch.setdefault(task, branch_index)
+        self._indices: Dict[bool, _PathIndex] = {}
+        #: (key, constraints) of the last model built (see ``_build_model``)
+        self._constraints: Optional[Tuple[tuple, MatrixModel]] = None
 
     # -- profile access with runtime overrides -----------------------------
     def multiplicative_factor(self, variant: ModelVariant) -> float:
@@ -397,176 +411,152 @@ class AllocationProblem:
         return tuple(multipliers)
 
     # -- MILP assembly -------------------------------------------------------
+    def _index(self, restrict_to_best: bool) -> "_PathIndex":
+        index = self._indices.get(restrict_to_best)
+        if index is None:
+            index = self._indices[restrict_to_best] = _PathIndex(self, restrict_to_best)
+        return index
+
     def _build_model(
         self,
         demand_qps: Optional[float],
         mode: str,
         restrict_to_best: bool,
         accuracy_floor: Optional[float] = None,
-        worker_budget: Optional[int] = None,
         preferred_variants: Optional[Iterable[str]] = None,
-        stability_bonus: float = 0.02,
-    ) -> Tuple[Model, List[Configuration], List[ConfigPath], Dict[Tuple[str, str, int], object], Dict[int, object], Optional[object]]:
+    ) -> Tuple[MatrixModel, "_PathIndex"]:
         """Assemble the MILP shared by all solve entry points.
 
         ``demand_qps=None`` turns the demand into an optimisation variable
-        (used to compute the maximum supportable demand).
+        (used to compute the maximum supportable demand); ``accuracy_floor``
+        then bounds the accuracy of the served mix instead of the system
+        accuracy at a fixed demand.  The constraints of the last
+        (demand, floor) pair are kept, so models that differ only in the
+        objective share them.
         """
-        configs = self.configurations(restrict_to_best=restrict_to_best)
-        paths = self.config_paths(restrict_to_best=restrict_to_best)
-        model = Model(f"{self.pipeline.name}-{mode}")
+        index = self._index(restrict_to_best)
+        key = (restrict_to_best, demand_qps, accuracy_floor)
+        if self._constraints is None or self._constraints[0] != key:
+            self._constraints = (key, self._assemble_constraints(index, demand_qps, accuracy_floor))
+        constraints = self._constraints[1]
 
-        # Instance-count variables x(i, k, b).
-        x_vars: Dict[Tuple[str, str, int], object] = {}
-        for config in configs:
-            x_vars[config.key] = model.add_var(
-                f"x[{config.task}|{config.variant.name}|{config.batch_size}]",
-                lb=0,
-                ub=self.num_workers,
-                integer=True,
-            )
-
-        # Flow variables g(p) = D * c(p) (absolute QPS entering each path).
-        flow_vars: Dict[int, object] = {}
-        for index, path in enumerate(paths):
-            flow_vars[index] = model.add_var(f"g[{index}]", lb=0.0)
-
-        demand_var = None
-        if demand_qps is None:
-            demand_var = model.add_var("D", lb=0.0)
-
-        # Demand-coverage constraint per branch: Σ_{p in branch} g(p) = D.
-        branches_with_paths = {p.branch_index for p in paths}
-        for branch_index, task_path in enumerate(self._task_paths):
-            terms = [flow_vars[i] * 1.0 for i, p in enumerate(paths) if p.branch_index == branch_index]
-            if not terms:
-                # Every path of this branch was pruned by the latency budget:
-                # the problem is structurally infeasible for this SLO.
-                model.add_constraint(model.add_var(f"infeasible[{branch_index}]", lb=1.0, ub=1.0) <= 0.0,
-                                     name=f"branch_infeasible[{branch_index}]")
-                continue
-            total = terms[0]
-            for term in terms[1:]:
-                total = total + term
-            if demand_var is None:
-                model.add_constraint(total == float(demand_qps), name=f"demand[{branch_index}]")
-            else:
-                model.add_constraint(total == demand_var * 1.0, name=f"demand[{branch_index}]")
-
-        # Shared-prefix coupling: configuration flow through a shared task must
-        # agree across branches (see module docstring).
-        self._add_coupling_constraints(model, paths, flow_vars)
-
-        # Capacity constraint (2): load on each configuration from its
-        # designated branch must fit the provisioned throughput.  Terms are
-        # gathered in a single pass over the paths to keep model assembly
-        # linear in (number of paths x path length).
-        load_terms: Dict[Tuple[str, str, int], List[Tuple[object, float]]] = {c.key: [] for c in configs}
-        for index, path in enumerate(paths):
-            for position, path_config in enumerate(path.configs):
-                if self._designated_branch[path_config.task] == path.branch_index:
-                    load_terms[path_config.key].append((flow_vars[index], path.multipliers[position]))
-        for config in configs:
-            terms = load_terms[config.key]
-            if not terms:
-                continue
-            expr = terms[0][0] * terms[0][1]
-            for var, mult in terms[1:]:
-                expr = expr + var * mult
-            capacity = x_vars[config.key] * self.effective_throughput_qps(config)
-            model.add_constraint(expr <= capacity, name=f"capacity[{'|'.join(map(str, config.key))}]")
-
-        # Cluster size constraint (3).
-        budget = worker_budget if worker_budget is not None else self.num_workers
-        all_x = list(x_vars.values())
-        total_x = all_x[0] * 1.0
-        for var in all_x[1:]:
-            total_x = total_x + var
-        model.add_constraint(total_x <= float(budget), name="cluster_size")
-
-        # Optional accuracy floor (used for capacity-at-accuracy sweeps).
-        if accuracy_floor is not None and demand_qps is not None and demand_qps > 0:
-            acc_expr = None
-            for index, path in enumerate(paths):
-                term = flow_vars[index] * (path.accuracy / (len(self._task_paths) * demand_qps))
-                acc_expr = term if acc_expr is None else acc_expr + term
-            if acc_expr is not None:
-                model.add_constraint(acc_expr >= accuracy_floor, name="accuracy_floor")
-
-        # Objective.
+        objective = np.zeros(constraints.num_vars)
         if mode == HARDWARE_SCALING:
-            model.minimize(total_x)
+            objective[: index.num_x] = 1.0
+            sign = 1
         elif mode == ACCURACY_SCALING:
             # System accuracy = (1/|branches|) Σ_p c(p) Â(p); with flows this is
             # (1/(|branches| D)) Σ_p g(p) Â(p).  D is a constant here.
             assert demand_qps is not None and demand_qps > 0
-            acc_expr = None
-            for index, path in enumerate(paths):
-                term = flow_vars[index] * (path.accuracy / (len(self._task_paths) * demand_qps))
-                acc_expr = term if acc_expr is None else acc_expr + term
-            if acc_expr is None:
-                # Every path was pruned by the latency budget; the model is
-                # already infeasible via the branch coverage constraints.
-                from repro.solver.model import LinExpr
-
-                acc_expr = LinExpr()
+            objective[index.num_x : index.num_columns] = index.path_accuracy / (len(self._task_paths) * demand_qps)
             # Plan-stability bonus: slightly prefer keeping the variants of the
             # incumbent plan so consecutive re-allocations do not shuffle model
             # assignments gratuitously (every shuffle costs a model-load on a
-            # worker).  The bonus is small (worth ``stability_bonus`` system
+            # worker).  The bonus is small (worth ``STABILITY_BONUS`` system
             # accuracy in total), so it only breaks ties between near-optimal
             # mixes and never outweighs a real accuracy gain.
             if preferred_variants:
                 preferred = set(preferred_variants)
-                per_worker_bonus = stability_bonus / max(1, self.num_workers)
-                for config in configs:
-                    if config.variant.name in preferred:
-                        acc_expr = acc_expr + x_vars[config.key] * per_worker_bonus
-            model.maximize(acc_expr)
+                bonus_columns = [j for j, config in enumerate(index.configs) if config.variant.name in preferred]
+                objective[bonus_columns] = STABILITY_BONUS / max(1, self.num_workers)
+            sign = -1
         elif mode == "max_throughput":
-            assert demand_var is not None
-            model.maximize(demand_var * 1.0)
+            assert demand_qps is None
+            objective[index.num_columns] = 1.0  # the demand variable D
+            sign = -1
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown mode {mode!r}")
+        model = constraints.replace(name=f"{self.pipeline.name}-{mode}", objective=objective, objective_sign=sign)
+        return model, index
 
-        return model, configs, paths, x_vars, flow_vars, demand_var
+    def _assemble_constraints(
+        self, index: "_PathIndex", demand_qps: Optional[float], accuracy_floor: Optional[float]
+    ) -> MatrixModel:
+        """Variables, bounds and rows of the MILP (the objective is left zero).
 
-    def _add_coupling_constraints(self, model: Model, paths: List[ConfigPath], flow_vars: Dict[int, object]) -> None:
-        """Force per-configuration flow through shared tasks to match across branches."""
-        # Group flows by (task, config key, branch).
-        by_config_branch: Dict[Tuple[Tuple[str, str, int], int], List[int]] = {}
-        branches_per_task: Dict[str, set] = {}
-        for index, path in enumerate(paths):
-            for config in path.configs:
-                by_config_branch.setdefault((config.key, path.branch_index), []).append(index)
-                branches_per_task.setdefault(config.task, set()).add(path.branch_index)
+        Columns: ``x`` per configuration, ``g`` per path, the demand ``D``
+        when it is a variable, then one fixed-at-one variable per branch
+        whose paths were all pruned.  Rows: one demand row per branch, the
+        structural rows of ``index``, then the optional accuracy floor.
+        """
+        names = list(index.names)
+        if demand_qps is None:
+            names.append("D")
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[float] = []
+        senses: List[Sense] = []
+        rhs: List[float] = []
+        pruned: List[int] = []
 
-        for task, branches in branches_per_task.items():
-            if len(branches) < 2:
+        # Demand-coverage constraint per branch: Σ_{p in branch} g(p) = D.
+        for branch_index, columns in enumerate(index.branch_columns):
+            row = len(senses)
+            if not columns:
+                # Every path of this branch was pruned by the latency budget:
+                # the problem is structurally infeasible for this SLO.
+                pruned.append(len(names))
+                rows.append(row)
+                cols.append(len(names))
+                vals.append(1.0)
+                names.append(f"infeasible[{branch_index}]")
+                senses.append(Sense.LE)
+                rhs.append(0.0)
                 continue
-            branch_list = sorted(branches)
-            reference = branch_list[0]
-            # Sorted so the constraint order (and therefore solver tie-breaks
-            # between equally optimal plans) does not depend on PYTHONHASHSEED.
-            config_keys = sorted({key for (key, b) in by_config_branch if key[0] == task})
-            for key in config_keys:
-                ref_indices = by_config_branch.get((key, reference), [])
-                ref_expr = self._sum_flows(flow_vars, ref_indices)
-                for other in branch_list[1:]:
-                    other_indices = by_config_branch.get((key, other), [])
-                    other_expr = self._sum_flows(flow_vars, other_indices)
-                    model.add_constraint(ref_expr == other_expr, name=f"couple[{task}|{key[1]}|{key[2]}|{other}]")
+            rows.extend([row] * len(columns))
+            cols.extend(columns)
+            vals.extend([1.0] * len(columns))
+            if demand_qps is None:
+                rows.append(row)
+                cols.append(index.num_columns)
+                vals.append(-1.0)
+            senses.append(Sense.EQ)
+            rhs.append(0.0 if demand_qps is None else float(demand_qps))
 
-    @staticmethod
-    def _sum_flows(flow_vars: Dict[int, object], indices: Sequence[int]):
-        if not indices:
-            from repro.solver.model import LinExpr
+        # Coupling, capacity (2) and cluster size (3).
+        offset = len(senses)
+        rows_arr = [np.asarray(rows, dtype=np.int64), index.rows + offset]
+        cols_arr = [np.asarray(cols, dtype=np.int64), index.cols]
+        vals_arr = [np.asarray(vals, dtype=float), index.vals]
+        senses.extend(index.senses)
+        rhs.extend(index.rhs(self.num_workers))
 
-            return LinExpr()
-        expr = flow_vars[indices[0]] * 1.0
-        for index in indices[1:]:
-            expr = expr + flow_vars[index]
-        return expr
+        floor_values = None
+        if accuracy_floor is not None and demand_qps is None:
+            # Accuracy floor with variable demand: Σ g(p) (Â(p) - floor) >= 0 per the
+            # normalisation Σ_p g(p) = |branches| * D.
+            floor_values, floor_rhs = index.path_accuracy - accuracy_floor, 0.0
+        elif accuracy_floor is not None and demand_qps > 0 and index.paths:
+            # Accuracy floor at a fixed demand (capacity-at-accuracy sweeps).
+            floor_values = index.path_accuracy / (len(self._task_paths) * demand_qps)
+            floor_rhs = float(accuracy_floor)
+        if floor_values is not None:
+            rows_arr.append(np.full(len(floor_values), len(senses)))
+            cols_arr.append(np.arange(index.num_x, index.num_columns))
+            vals_arr.append(floor_values)
+            senses.append(Sense.GE)
+            rhs.append(floor_rhs)
+
+        n = len(names)
+        lb = np.zeros(n)
+        ub = np.full(n, math.inf)
+        ub[: index.num_x] = float(self.num_workers)
+        lb[pruned] = ub[pruned] = 1.0
+        integer = np.zeros(n, dtype=bool)
+        integer[: index.num_x] = True
+        A = _csr(np.concatenate(rows_arr), np.concatenate(cols_arr), np.concatenate(vals_arr), (len(senses), n))
+        return MatrixModel(
+            name=self.pipeline.name,
+            variable_names=names,
+            lb=lb,
+            ub=ub,
+            integer=integer,
+            objective=np.zeros(n),
+            objective_sign=1,
+            A=A,
+            senses=senses,
+            rhs=np.asarray(rhs, dtype=float),
+        )
 
     # -- solving --------------------------------------------------------------
     def solve_hardware_scaling(self, demand_qps: float) -> Optional[AllocationPlan]:
@@ -575,13 +565,11 @@ class AllocationProblem:
         Returns ``None`` when infeasible (the Resource Manager then falls back
         to accuracy scaling).
         """
-        model, configs, paths, x_vars, flow_vars, _ = self._build_model(
-            demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True
-        )
+        model, index = self._build_model(demand_qps, HARDWARE_SCALING, restrict_to_best=True)
         solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return None
-        return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, HARDWARE_SCALING)
+        return self._decode(solution, index, demand_qps, HARDWARE_SCALING)
 
     def solve_accuracy_scaling(
         self,
@@ -595,9 +583,9 @@ class AllocationProblem:
         small stability bonus steers ties toward reusing them (fewer model
         swaps between consecutive invocations).
         """
-        model, configs, paths, x_vars, flow_vars, _ = self._build_model(
-            demand_qps=demand_qps,
-            mode=ACCURACY_SCALING,
+        model, index = self._build_model(
+            demand_qps,
+            ACCURACY_SCALING,
             restrict_to_best=False,
             accuracy_floor=accuracy_floor,
             preferred_variants=preferred_variants,
@@ -605,7 +593,7 @@ class AllocationProblem:
         solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return None
-        return self._decode(solution, configs, paths, x_vars, flow_vars, demand_qps, ACCURACY_SCALING)
+        return self._decode(solution, index, demand_qps, ACCURACY_SCALING)
 
     def solve(
         self,
@@ -645,40 +633,58 @@ class AllocationProblem:
 
     def max_supported_demand(self, restrict_to_best: bool = False, accuracy_floor: Optional[float] = None):
         """Maximum demand the cluster can absorb (used for Figure 1 capacity curves)."""
-        model, configs, paths, x_vars, flow_vars, demand_var = self._build_model(
-            demand_qps=None, mode="max_throughput", restrict_to_best=restrict_to_best
-        )
-        if accuracy_floor is not None:
-            # Accuracy floor with variable demand: Σ g(p) (Â(p) - floor) >= 0 per the
-            # normalisation Σ_p g(p) = |branches| * D.
-            from repro.solver.model import LinExpr
-
-            expr = LinExpr()
-            for index, path in enumerate(paths):
-                expr = expr + flow_vars[index] * (path.accuracy - accuracy_floor)
-            model.add_constraint(expr >= 0.0, name="accuracy_floor")
+        model, index = self._build_model(None, "max_throughput", restrict_to_best, accuracy_floor=accuracy_floor)
         solution = solve(model, **self.solver_options)
         if not solution.is_optimal:
             return MaxDemandResult(max_demand_qps=0.0, plan=self._empty_plan(0.0))
         max_demand = solution.get("D", 0.0)
-        plan = self._decode(solution, configs, paths, x_vars, flow_vars, max(max_demand, 1e-9), ACCURACY_SCALING)
+        plan = self._decode(solution, index, max(max_demand, 1e-9), ACCURACY_SCALING)
         return MaxDemandResult(max_demand_qps=max_demand, plan=plan)
 
+    # -- LP certificates --------------------------------------------------------
+    def accuracy_upper_bound(self, demand_qps: float) -> Optional[float]:
+        """An upper bound on the system accuracy of every accuracy-scaling
+        plan for ``demand_qps``: the optimum of step 2's LP relaxation,
+        without the stability bonus.  ``None`` unless HiGHS proves that
+        optimum (an infeasible relaxation included)."""
+        model, _ = self._build_model(demand_qps, ACCURACY_SCALING, restrict_to_best=False)
+        relaxed = model.replace(name=f"{model.name}-relaxation", integer=np.zeros(model.num_vars, dtype=bool))
+        solution = solve(relaxed, cache=False, **self.solver_options)
+        if not (solution.is_optimal and solution.info.get("optimal_proven")):
+            return None
+        return solution.objective
+
+    def can_route(self, plan: AllocationPlan, demand_qps: float) -> bool:
+        """Whether ``plan``'s replica counts, held fixed, carry ``demand_qps``
+        under this problem's constraints (an LP over the path flows).  When
+        they do, step 2 for ``demand_qps`` has a feasible integer point."""
+        model, index = self._build_model(demand_qps, ACCURACY_SCALING, restrict_to_best=False)
+        replicas = np.zeros(index.num_x)
+        for allocation in plan.allocations:
+            column = index.config_of.get((allocation.task, allocation.variant_name, allocation.batch_size))
+            if column is None:
+                return False
+            replicas[column] = allocation.replicas
+        lb = model.lb.copy()
+        ub = model.ub.copy()
+        lb[: index.num_x] = ub[: index.num_x] = replicas
+        fixed = model.replace(
+            name=f"{model.name}-fixed-replicas",
+            lb=lb,
+            ub=ub,
+            integer=np.zeros(model.num_vars, dtype=bool),
+            objective=np.zeros(model.num_vars),
+        )
+        solution = solve(fixed, cache=False, **self.solver_options)
+        return solution.is_optimal and bool(solution.info.get("optimal_proven"))
+
     # -- decoding --------------------------------------------------------------
-    def _decode(
-        self,
-        solution: Solution,
-        configs: List[Configuration],
-        paths: List[ConfigPath],
-        x_vars,
-        flow_vars,
-        demand_qps: float,
-        mode: str,
-    ) -> AllocationPlan:
+    def _decode(self, solution: Solution, index: "_PathIndex", demand_qps: float, mode: str) -> AllocationPlan:
+        values = solution.x.tolist()
         allocations: List[VariantAllocation] = []
         total_workers = 0
-        for config in configs:
-            replicas = int(round(solution.get(x_vars[config.key], 0.0)))
+        for config, value in zip(index.configs, values):
+            replicas = int(round(value))
             if replicas <= 0:
                 continue
             total_workers += replicas
@@ -697,8 +703,7 @@ class AllocationProblem:
         num_branches = max(1, len(self._task_paths))
         path_ratios: Dict[PathKey, float] = {}
         accuracy_numerator = 0.0
-        for index, path in enumerate(paths):
-            flow = solution.get(flow_vars[index], 0.0)
+        for path, flow in zip(index.paths, values[index.num_x : index.num_columns]):
             if flow <= 1e-9:
                 continue
             ratio = flow / demand_qps if demand_qps > 0 else 0.0
@@ -731,6 +736,98 @@ class AllocationProblem:
         )
 
 
+class _PathIndex:
+    """The configurations and latency-feasible paths of one problem, with the
+    demand-independent rows of its MILP laid out as matrix entries.
+
+    Columns are ``x`` per configuration, then ``g`` per path.  The rows are,
+    in order: the shared-prefix coupling rows, the capacity rows (2) and the
+    cluster-size row (3).
+    """
+
+    def __init__(self, problem: AllocationProblem, restrict_to_best: bool):
+        configs = problem.configurations(restrict_to_best=restrict_to_best)
+        paths = problem.config_paths(restrict_to_best=restrict_to_best)
+        self.configs = configs
+        self.paths = paths
+        self.num_x = len(configs)
+        self.num_columns = len(configs) + len(paths)
+        self.names = [f"x[{c.task}|{c.variant.name}|{c.batch_size}]" for c in configs]
+        self.names += [f"g[{index}]" for index in range(len(paths))]
+        self.config_of = {c.key: column for column, c in enumerate(configs)}
+        self.path_accuracy = np.array([p.accuracy for p in paths], dtype=float)
+        flow_column = [self.num_x + index for index in range(len(paths))]
+        #: flow columns of each branch's paths (the per-branch demand rows)
+        self.branch_columns: List[List[int]] = [[] for _ in problem._task_paths]
+        for index, path in enumerate(paths):
+            self.branch_columns[path.branch_index].append(flow_column[index])
+
+        rows: List[int] = []
+        cols: List[int] = []
+        vals: List[float] = []
+        self.senses: List[Sense] = []
+
+        def add_row(entries: Iterable[Tuple[int, float]], sense: Sense) -> None:
+            row = len(self.senses)
+            for column, value in entries:
+                rows.append(row)
+                cols.append(column)
+                vals.append(value)
+            self.senses.append(sense)
+
+        # Shared-prefix coupling: configuration flow through a shared task must
+        # agree across branches (see module docstring).
+        by_config_branch: Dict[Tuple[Tuple[str, str, int], int], List[int]] = {}
+        branches_per_task: Dict[str, set] = {}
+        for index, path in enumerate(paths):
+            for config in path.configs:
+                by_config_branch.setdefault((config.key, path.branch_index), []).append(flow_column[index])
+                branches_per_task.setdefault(config.task, set()).add(path.branch_index)
+        for task, branches in branches_per_task.items():
+            if len(branches) < 2:
+                continue
+            reference, *others = sorted(branches)
+            # Sorted so the constraint order (and therefore solver tie-breaks
+            # between equally optimal plans) does not depend on PYTHONHASHSEED.
+            for key in sorted({key for (key, _) in by_config_branch if key[0] == task}):
+                ref_columns = by_config_branch.get((key, reference), [])
+                for other in others:
+                    other_columns = by_config_branch.get((key, other), [])
+                    add_row([(c, 1.0) for c in ref_columns] + [(c, -1.0) for c in other_columns], Sense.EQ)
+
+        # Capacity constraint (2): load on each configuration from its
+        # designated branch must fit the provisioned throughput.
+        load: List[List[Tuple[int, float]]] = [[] for _ in configs]
+        for index, path in enumerate(paths):
+            for position, config in enumerate(path.configs):
+                if problem._designated_branch[config.task] == path.branch_index:
+                    load[self.config_of[config.key]].append((flow_column[index], path.multipliers[position]))
+        for column, (config, terms) in enumerate(zip(configs, load)):
+            if terms:
+                add_row([(column, -problem.effective_throughput_qps(config))] + terms, Sense.LE)
+
+        # Cluster size constraint (3); its rhs is the cluster size.
+        add_row([(column, 1.0) for column in range(self.num_x)], Sense.LE)
+
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.vals = np.asarray(vals, dtype=float)
+
+    def rhs(self, num_workers: int) -> List[float]:
+        return [0.0] * (len(self.senses) - 1) + [float(num_workers)]
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> sparse.csr_matrix:
+    """Canonical CSR (sorted columns, no stored zeros) from distinct entries:
+    the matrix ``scipy.sparse.csr_matrix`` makes of the dense equivalent."""
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_matrix((vals[order], cols[order].astype(np.int32), indptr), shape=shape)
+
+
 @dataclass
 class MaxDemandResult:
     """Result of :meth:`AllocationProblem.max_supported_demand`."""
@@ -742,13 +839,13 @@ class MaxDemandResult:
 # ---------------------------------------------------------------------------
 # Convenience functions used by tests and the experiment harness
 # ---------------------------------------------------------------------------
-def build_hardware_scaling_model(problem: AllocationProblem, demand_qps: float) -> Model:
+def build_hardware_scaling_model(problem: AllocationProblem, demand_qps: float) -> MatrixModel:
     """Return the raw MILP of the hardware-scaling step (for inspection/tests)."""
-    model, *_ = problem._build_model(demand_qps=demand_qps, mode=HARDWARE_SCALING, restrict_to_best=True)
+    model, _ = problem._build_model(demand_qps, HARDWARE_SCALING, restrict_to_best=True)
     return model
 
 
-def build_accuracy_scaling_model(problem: AllocationProblem, demand_qps: float) -> Model:
+def build_accuracy_scaling_model(problem: AllocationProblem, demand_qps: float) -> MatrixModel:
     """Return the raw MILP of the accuracy-scaling step (for inspection/tests)."""
-    model, *_ = problem._build_model(demand_qps=demand_qps, mode=ACCURACY_SCALING, restrict_to_best=False)
+    model, _ = problem._build_model(demand_qps, ACCURACY_SCALING, restrict_to_best=False)
     return model

@@ -12,9 +12,12 @@ experiments).  Each invocation it
    factors that maximise system accuracy while meeting the demand.
 
 The heavy lifting is done by :class:`repro.core.allocation.AllocationProblem`;
-this module adds demand estimation, plan caching (identical quantised demands
-re-use the previous MILP solution, which keeps long simulations tractable)
-and the "significant change between periodic invocations" trigger.
+this module adds demand estimation, plan caching (identical targets re-use
+the previous MILP solution, which keeps long simulations tractable), the
+"significant change between periodic invocations" trigger and the plan-switch
+hysteresis.  When two LPs prove that the hysteresis would discard the
+accuracy-scaling plan of a re-plan, that MILP is not solved until its plan-cache
+entry is first hit.
 """
 
 from __future__ import annotations
@@ -22,13 +25,23 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple, TypeVar, Union
 
 from repro.core.allocation import ACCURACY_SCALING, AllocationPlan, AllocationProblem, HARDWARE_SCALING
 from repro.core.metadata import MetadataStore
 from repro.core.pipeline import Pipeline
 
 __all__ = ["DemandEstimator", "ResourceManager", "ResourceManagerStats"]
+
+T = TypeVar("T")
+
+#: an active plan is replaced by one with fewer workers only once the target
+#: demand is at most this share of the demand it was provisioned for
+SCALE_DOWN_RATIO = 0.7
+
+#: numerical slack between the LP-relaxation bound and the accuracy the
+#: Resource Manager computes from a MILP solution's flows
+CERTIFICATE_TOLERANCE = 1e-6
 
 
 class DemandEstimator:
@@ -79,10 +92,20 @@ class DemandEstimator:
 
 @dataclass
 class ResourceManagerStats:
-    """Bookkeeping about Resource Manager activity (used by Section 6.5 benches)."""
+    """Bookkeeping about Resource Manager activity (used by Section 6.5 benches).
+
+    ``milp_solves`` counts the allocation MILPs handed to the solver
+    (hardware scaling, accuracy scaling, max-throughput).
+    ``total_solve_time_s`` is the wall time of all solver work: those MILPs
+    and the certificate LPs of :meth:`ResourceManager._discard_certified`, so
+    ``mean_solve_time_s`` is solver time per MILP solved.  ``replans_skipped``
+    counts plan-cache misses whose accuracy-scaling MILP was not solved
+    because the certificate proved its plan would be discarded.
+    """
 
     invocations: int = 0
     milp_solves: int = 0
+    replans_skipped: int = 0
     cache_hits: int = 0
     hardware_plans: int = 0
     accuracy_plans: int = 0
@@ -109,9 +132,10 @@ class ResourceManager:
     invocation_interval_s:
         Period between invocations (10 s in the paper).
     demand_quantum_qps:
-        Demand estimates are rounded *up* to a multiple of this quantum before
-        solving.  Identical quantised demands reuse the cached plan, so the
-        quantum trades plan optimality against MILP solve count.
+        Demand estimates up to ``demand_quantum_qps / 0.15`` are rounded *up*
+        to a multiple of this quantum before solving; larger ones get a 5%
+        markup instead (see :meth:`provisioning_target_qps`).  Identical
+        targets reuse the cached plan.
     reallocation_threshold:
         Relative demand change between periodic invocations that triggers an
         immediate re-allocation ("significant change", Section 4.2).
@@ -156,7 +180,7 @@ class ResourceManager:
         self.plan_cache_size = int(plan_cache_size)
 
         self.stats = ResourceManagerStats()
-        self._plan_cache: Dict[Tuple[float, Tuple[Tuple[str, float], ...]], AllocationPlan] = {}
+        self._plan_cache: Dict[Tuple[float, Tuple[Tuple[str, float], ...]], Union[AllocationPlan, _DeferredPlan]] = {}
         self._last_invocation_s: Optional[float] = None
         self._last_planned_demand: Optional[float] = None
         self.current_plan: Optional[AllocationPlan] = None
@@ -168,12 +192,16 @@ class ResourceManager:
         self.estimator.observe(demand_qps)
 
     def provisioning_target_qps(self) -> float:
-        """Demand the next plan should be provisioned for (quantised EWMA estimate).
+        """Demand the next plan should be provisioned for (the EWMA estimate, rounded up).
 
-        The quantum is relative: at least ``demand_quantum_qps`` and at least
-        15% of the estimate.  Relative quantisation keeps the number of
-        distinct provisioning levels small during large ramps (fewer plan
-        switches, fewer model swaps) without over-provisioning at low demand.
+        The quantum is ``max(demand_quantum_qps, 0.15 * estimate)``.  Up to
+        ``demand_quantum_qps / 0.15`` (133 qps at the default 20 qps) the
+        estimate is rounded up to a multiple of ``demand_quantum_qps``.  Above
+        that the quantum is 15% of the estimate itself, so the rounding is
+        ``ceil(1 / 0.15) * 0.15 = 1.05`` times the estimate (200 -> 210,
+        543.44 -> 570.61): a 5% markup rather than a quantisation.  Every
+        distinct estimate is then a distinct target, and the plan cache only
+        hits when an estimate repeats exactly.
         """
         target = max(self.estimator.estimate(), self.min_demand_qps)
         quantum = max(self.demand_quantum_qps, 0.15 * target)
@@ -213,14 +241,21 @@ class ResourceManager:
 
         cache_key = self._cache_key(target)
         cached = self._plan_cache.get(cache_key)
+        candidate: Union[AllocationPlan, _DeferredPlan]
         if cached is not None:
             self.stats.cache_hits += 1
+            if isinstance(cached, _DeferredPlan):
+                cached = self._plan_cache[cache_key] = self._finish(cached)
+                cached.solver_info["deferred"] = True
             candidate = cached
         else:
             candidate = self._solve(target)
             self._remember(cache_key, candidate)
 
-        plan = candidate if self._should_switch(candidate, target) else self.current_plan
+        if isinstance(candidate, _DeferredPlan):
+            plan = self.current_plan  # certified: _should_switch would keep it
+        else:
+            plan = candidate if self._should_switch(candidate, target) else self.current_plan
         assert plan is not None
         self._last_invocation_s = now_s
         self._last_planned_demand = target
@@ -239,7 +274,7 @@ class ResourceManager:
             return True  # the active plan was provisioned for less demand
         if candidate.mode != current.mode:
             return True
-        if candidate.total_workers < current.total_workers and target_qps <= 0.7 * current.demand_qps:
+        if candidate.total_workers < current.total_workers and target_qps <= SCALE_DOWN_RATIO * current.demand_qps:
             # Hardware scale-down frees servers, but only when demand has
             # dropped well below what the active plan was provisioned for --
             # the hysteresis prevents oscillating scale-down/scale-up cycles
@@ -248,6 +283,39 @@ class ResourceManager:
         if candidate.expected_accuracy > current.expected_accuracy + self.accuracy_improvement_margin:
             return True  # accuracy can be improved meaningfully
         return False
+
+    def _discard_certified(self, problem: AllocationProblem, target_qps: float) -> bool:
+        """Whether :meth:`_should_switch` is certain to keep the active plan
+        over the accuracy-scaling plan for ``target_qps``, given that
+        hardware scaling (already solved on ``problem``) was infeasible.
+
+        The active plan must be a feasible accuracy-scaling plan, provisioned
+        for at least ``target_qps`` and for less than ``target_qps /
+        SCALE_DOWN_RATIO``, so only the accuracy test can call for a switch.
+        Two LPs settle that test without the MILP: the active plan's
+        replicas, held fixed, carry ``target_qps`` (so step 2 is feasible and
+        its plan, not the best-effort one, is the candidate), and step 2's
+        LP relaxation caps the candidate's accuracy at the active plan's plus
+        the margin.
+
+        The skip is exact only if the deferred accuracy-scaling MILP returns
+        a solution, which it must when the search runs to completion (the
+        active plan's replicas give a feasible point).  A search stopped by
+        ``time_limit`` without an incumbent would make the immediate path
+        consider the best-effort plan, which a skip never does; plans
+        materialised from a deferred entry carry ``solver_info["deferred"]``
+        so such a case is visible.
+        """
+        current = self.current_plan
+        if current is None or not current.feasible or current.mode != ACCURACY_SCALING:
+            return False
+        if target_qps > current.demand_qps + 1e-9 or target_qps <= SCALE_DOWN_RATIO * current.demand_qps:
+            return False
+        bound = problem.accuracy_upper_bound(target_qps)
+        limit = current.expected_accuracy + self.accuracy_improvement_margin - CERTIFICATE_TOLERANCE
+        if bound is None or bound > limit:
+            return False
+        return problem.can_route(current, target_qps)
 
     def maybe_allocate(self, now_s: float) -> Optional[AllocationPlan]:
         """Allocate only when :meth:`should_reallocate` says so."""
@@ -268,18 +336,45 @@ class ResourceManager:
             solver_options=self.solver_options,
         )
 
-    def _solve(self, target_qps: float) -> AllocationPlan:
+    def _solve(self, target_qps: float) -> Union[AllocationPlan, "_DeferredPlan"]:
+        """The two-step procedure of :meth:`AllocationProblem.solve`, except
+        that a certified discard (:meth:`_discard_certified`) defers the
+        accuracy-scaling solve to the plan cache's first hit."""
         problem = self._problem()
         preferred = None
         if self.current_plan is not None:
             # Bias the accuracy-scaling MILP toward the incumbent plan's
             # variants so consecutive plans stay similar (fewer model swaps).
             preferred = {a.variant_name for a in self.current_plan.allocations}
-        start = time.perf_counter()  # reprolint: disable=R002 -- solve-time stat is reporting-only
-        plan = problem.solve(target_qps, preferred_variants=preferred)
-        self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
-        self.stats.milp_solves += 1
+        plan = self._run_milp(problem.solve_hardware_scaling, target_qps)
+        if plan is not None:
+            return plan
+        deferred = _DeferredPlan(problem, target_qps, preferred)
+        if self._timed(self._discard_certified, problem, target_qps):
+            self.stats.replans_skipped += 1
+            return deferred
+        return self._finish(deferred)
+
+    def _finish(self, deferred: "_DeferredPlan") -> AllocationPlan:
+        """Accuracy scaling, else the best-effort plan, for a problem whose
+        hardware scaling was infeasible."""
+        plan = self._run_milp(
+            deferred.problem.solve_accuracy_scaling, deferred.target_qps, preferred_variants=deferred.preferred
+        )
+        if plan is None:
+            plan = self._run_milp(deferred.problem.best_effort_plan, deferred.target_qps)
         return plan
+
+    def _run_milp(self, step: Callable[..., T], *args, **kwargs) -> T:
+        self.stats.milp_solves += 1
+        return self._timed(step, *args, **kwargs)
+
+    def _timed(self, step: Callable[..., T], *args, **kwargs) -> T:
+        """``step(*args, **kwargs)``, its wall time added to ``total_solve_time_s``."""
+        start = time.perf_counter()  # reprolint: disable=R002 -- solve-time stat is reporting-only
+        result = step(*args, **kwargs)
+        self.stats.total_solve_time_s += time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
+        return result
 
     def _cache_key(self, target_qps: float) -> Tuple[float, Tuple[Tuple[str, float], ...]]:
         # Multiplier estimates are quantised to 0.5 so heartbeat jitter does
@@ -289,7 +384,7 @@ class ResourceManager:
         )
         return (round(target_qps, 3), multipliers)
 
-    def _remember(self, key, plan: AllocationPlan) -> None:
+    def _remember(self, key, plan: Union[AllocationPlan, "_DeferredPlan"]) -> None:
         if len(self._plan_cache) >= self.plan_cache_size:
             self._plan_cache.pop(next(iter(self._plan_cache)))
         self._plan_cache[key] = plan
@@ -315,3 +410,17 @@ class ResourceManager:
             restrict_to_best=restrict_to_best, accuracy_floor=accuracy_floor
         )
         return result.max_demand_qps
+
+
+class _DeferredPlan(NamedTuple):
+    """A plan-cache entry whose accuracy-scaling solve was deferred.
+
+    It keeps what the solve needs -- the problem (with its assembled
+    matrices), the target and the incumbent's variants at the time -- so the
+    plan it yields on the entry's first hit is the one an immediate solve
+    would have cached.
+    """
+
+    problem: AllocationProblem
+    target_qps: float
+    preferred: Optional[Set[str]]

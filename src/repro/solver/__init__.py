@@ -4,9 +4,10 @@ The paper solves its resource-allocation problem with Gurobi; this package
 hands the same MILPs to HiGHS through ``scipy.optimize.milp``:
 
 * :mod:`repro.solver.model` -- a small modelling layer (variables, linear
-  expressions, constraints, objective).
-* :mod:`repro.solver.scipy_backend` -- converts a model to matrix form and
-  solves it with HiGHS.
+  expressions, constraints, objective) and :class:`MatrixModel`, the matrix
+  form the solver reads (:meth:`Model.to_matrix`).
+* :mod:`repro.solver.scipy_backend` -- solves a :class:`MatrixModel` with
+  HiGHS.
 * :mod:`repro.solver.cache` -- model fingerprinting and the LRU solution
   cache behind :func:`solve`.
 
@@ -23,6 +24,7 @@ from repro.solver.model import (
     ERROR,
     Constraint,
     LinExpr,
+    MatrixModel,
     Model,
     Sense,
     Solution,
@@ -39,6 +41,7 @@ __all__ = [
     "ERROR",
     "Constraint",
     "LinExpr",
+    "MatrixModel",
     "Model",
     "Sense",
     "Solution",
@@ -52,13 +55,14 @@ __all__ = [
 ]
 
 
-def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **options) -> Solution:
+def solve(model: Union[Model, MatrixModel], cache: Union[bool, SolutionCache, None] = True, **options) -> Solution:
     """Solve ``model`` with HiGHS.
 
     Parameters
     ----------
     model:
-        A :class:`repro.solver.model.Model` instance.
+        A :class:`MatrixModel`, or a :class:`Model`, which is converted once
+        with :meth:`Model.to_matrix`.
     cache:
         ``True`` (default) consults the process-wide solution cache keyed by
         the model's content fingerprint; pass a :class:`SolutionCache` to use
@@ -73,6 +77,7 @@ def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **option
     Solution
     """
     backend = ScipyMilpBackend(**options)  # unknown options raise here, hit or miss
+    matrix = model.to_matrix() if isinstance(model, Model) else model
     cache_obj: Optional[SolutionCache]
     if cache is True:
         cache_obj = default_cache
@@ -84,13 +89,13 @@ def solve(model: Model, cache: Union[bool, SolutionCache, None] = True, **option
     cache_key = None
     fingerprint = None
     if cache_obj is not None:
-        fingerprint = fingerprint_model(model)
+        fingerprint = fingerprint_model(matrix)
         cache_key = SolutionCache.key(fingerprint, options)
         cached = cache_obj.get(cache_key)
         if cached is not None:
             return cached
 
-    solution = backend.solve(model)
+    solution = backend.solve(matrix)
 
     solution.info.setdefault("cache", "miss" if cache_obj is not None else "off")
     if fingerprint is not None:

@@ -25,26 +25,30 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, Optional
 
-from repro.solver.model import Model, Solution
+from repro.solver.model import MatrixModel, Solution
 
 __all__ = ["fingerprint_model", "SolutionCache", "default_cache"]
 
 
-def fingerprint_model(model: Model) -> str:
+def fingerprint_model(model: MatrixModel) -> str:
     """Content hash of a model's full matrix form (hex digest).
 
     Two models with the same fingerprint describe the same optimisation
     problem with the same variable names, so their solutions are
-    interchangeable.
+    interchangeable.  The constraint matrices are hashed in the CSR form
+    the backend hands to HiGHS.
     """
-    c, A_ub, b_ub, A_eq, b_eq, integrality = model.to_standard_form()
+    c, A_ub, b_ub, A_eq, b_eq, integrality = model.sparse_form()
     lbs, ubs = model.bounds_arrays()
     h = hashlib.sha256()
     h.update(str(model.objective_sign).encode())
-    h.update(repr(model.objective.constant).encode())
-    for arr in (c, A_ub, b_ub, A_eq, b_eq, integrality, lbs, ubs):
+    h.update(repr(model.objective_constant).encode())
+    h.update(repr((A_ub.shape, A_eq.shape)).encode())
+    for arr in (c, A_ub.indptr, A_ub.indices, A_ub.data, b_ub, A_eq.indptr, A_eq.indices, A_eq.data):
         h.update(arr.tobytes())
-    h.update("\x00".join(v.name for v in model.variables).encode())
+    for arr in (b_eq, integrality, lbs, ubs):
+        h.update(arr.tobytes())
+    h.update("\x00".join(model.variable_names).encode())
     return h.hexdigest()
 
 

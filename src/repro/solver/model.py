@@ -8,19 +8,22 @@ mirrors the look-and-feel of commercial modelling APIs (``model.add_var``,
 :mod:`repro.core.allocation` reads close to the paper's notation, while the
 actual solve is delegated to HiGHS (:mod:`repro.solver.scipy_backend`).
 
-The layer is deliberately dense-matrix friendly: Loki's MILPs have at most a
-few thousand variables (configurations x batch sizes x paths), so we favour
-clarity and NumPy-vectorised constraint assembly over sparse cleverness.
+The solver reads a :class:`MatrixModel`: the rows as one CSR matrix plus
+senses and right-hand sides.  :meth:`Model.to_matrix` converts the algebra
+into one; code that builds the same family of MILPs many times (the
+allocator) skips the algebra and assembles the matrices itself.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Sense",
@@ -28,6 +31,7 @@ __all__ = [
     "LinExpr",
     "Constraint",
     "Model",
+    "MatrixModel",
     "Solution",
     "SolverError",
     "OPTIMAL",
@@ -52,6 +56,9 @@ VectorLike = Union[Sequence[float], np.ndarray]
 
 #: ``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` minimisation matrices
 StandardForm = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: :data:`StandardForm` with ``A_ub`` and ``A_eq`` as canonical CSR matrices
+SparseForm = Tuple[np.ndarray, sparse.csr_matrix, np.ndarray, sparse.csr_matrix, np.ndarray, np.ndarray]
 
 
 class SolverError(RuntimeError):
@@ -305,10 +312,9 @@ class Model:
         #: +1 for minimisation, -1 for maximisation
         self.objective_sign: int = 1
         self._names: Dict[str, Variable] = {}
-        #: bumped on every structural change; invalidates the matrix caches
+        #: bumped on every structural change; invalidates the matrix cache
         self._revision: int = 0
-        self._standard_form_cache: Optional[Tuple[int, StandardForm]] = None
-        self._bounds_cache: Optional[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = None
+        self._matrix_cache: Optional[Tuple[int, "MatrixModel"]] = None
 
     # -- building ---------------------------------------------------------
     def add_var(
@@ -371,90 +377,61 @@ class Model:
     def num_constraints(self) -> int:
         return len(self.constraints)
 
-    @property
-    def integer_indices(self) -> List[int]:
-        return [v.index for v in self.variables if v.integer]
+    def to_matrix(self) -> "MatrixModel":
+        """The model as a :class:`MatrixModel`, the form the solver reads.
 
-    def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower/upper bound vectors.  Treat the returned arrays as read-only:
-        they are cached until the model changes structurally."""
-        if self._bounds_cache is not None and self._bounds_cache[0] == self._revision:
-            return self._bounds_cache[1]
-        lbs = np.array([v.lb for v in self.variables], dtype=float)
-        ubs = np.array([v.ub for v in self.variables], dtype=float)
-        self._bounds_cache = (self._revision, (lbs, ubs))
-        return lbs, ubs
+        Each constraint becomes one CSR row (constant moved to the right-hand
+        side, zero coefficients dropped).  The result is cached until the
+        model changes structurally; treat it as read-only.
+        """
+        if self._matrix_cache is not None and self._matrix_cache[0] == self._revision:
+            return self._matrix_cache[1]
+        n = self.num_vars
+        indptr = [0]
+        indices: List[int] = []
+        data: List[float] = []
+        senses: List[Sense] = []
+        rhs: List[float] = []
+        for con in self.constraints:
+            coeffs, sense, value = con.normalised()
+            for idx in sorted(coeffs):
+                if coeffs[idx] != 0.0:
+                    indices.append(idx)
+                    data.append(coeffs[idx])
+            indptr.append(len(indices))
+            senses.append(sense)
+            rhs.append(value)
+        A = sparse.csr_matrix(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+            shape=(len(senses), n),
+        )
+        objective = np.zeros(n)
+        for idx, coeff in self.objective.coeffs.items():
+            objective[idx] = coeff
+        matrix = MatrixModel(
+            name=self.name,
+            variable_names=[v.name for v in self.variables],
+            lb=np.array([v.lb for v in self.variables], dtype=float),
+            ub=np.array([v.ub for v in self.variables], dtype=float),
+            integer=np.array([v.integer for v in self.variables], dtype=bool),
+            objective=objective,
+            objective_sign=self.objective_sign,
+            A=A,
+            senses=senses,
+            rhs=np.array(rhs, dtype=float),
+            objective_constant=self.objective.constant,
+        )
+        self._matrix_cache = (self._revision, matrix)
+        return matrix
 
     def to_standard_form(self) -> StandardForm:
-        """Return ``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` for *minimisation*.
+        """``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` for *minimisation*
+        (see :meth:`MatrixModel.to_standard_form`)."""
+        return self.to_matrix().to_standard_form()
 
-        The objective vector ``c`` is already adjusted for maximisation
-        problems (the sign flip is applied), so the backend minimises
-        ``c @ x`` and reports ``objective_sign * (c @ x)``... i.e. callers
-        should use :meth:`recover_objective`.
-
-        Treat the returned arrays as read-only: the matrix form is cached
-        until the model changes structurally (it is requested several times
-        per solve -- fingerprinting, presolve, and the backend itself).
-        """
-        if self._standard_form_cache is not None and self._standard_form_cache[0] == self._revision:
-            return self._standard_form_cache[1]
-        n = self.num_vars
-        c = np.zeros(n)
-        for idx, coeff in self.objective.coeffs.items():
-            c[idx] = coeff
-        c = c * self.objective_sign
-
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for con in self.constraints:
-            coeffs, sense, rhs = con.normalised()
-            row = np.zeros(n)
-            for idx, coeff in coeffs.items():
-                row[idx] = coeff
-            if sense is Sense.LE:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-            elif sense is Sense.GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-
-        A_ub = np.array(ub_rows) if ub_rows else np.zeros((0, n))
-        b_ub = np.array(ub_rhs) if ub_rhs else np.zeros(0)
-        A_eq = np.array(eq_rows) if eq_rows else np.zeros((0, n))
-        b_eq = np.array(eq_rhs) if eq_rhs else np.zeros(0)
-        integrality = np.array([1 if v.integer else 0 for v in self.variables])
-        result = (c, A_ub, b_ub, A_eq, b_eq, integrality)
-        self._standard_form_cache = (self._revision, result)
-        return result
-
-    def recover_objective(self, x: np.ndarray) -> float:
-        """Evaluate the *original* (sign-corrected) objective at ``x``."""
-        return self.objective.value(x) if len(x) else math.nan
-
-    # -- checking ----------------------------------------------------------
     def is_feasible_point(self, x: VectorLike, tol: float = 1e-6) -> bool:
         """Check bounds, integrality and constraints at ``x``."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.num_vars,):
-            return False
-        for var in self.variables:
-            if arr[var.index] < var.lb - tol or arr[var.index] > var.ub + tol:
-                return False
-            if var.integer and abs(arr[var.index] - round(arr[var.index])) > tol:
-                return False
-        return all(con.violation(arr, tol) == 0.0 for con in self.constraints)
-
-    def make_solution(self, x: np.ndarray, status: str = OPTIMAL, **info: Any) -> Solution:
-        """Package a raw assignment into a :class:`Solution`."""
-        x = np.asarray(x, dtype=float)
-        values = {var.name: float(x[var.index]) for var in self.variables}
-        return Solution(status=status, objective=self.recover_objective(x), values=values, x=x, info=dict(info))
+        return self.to_matrix().is_feasible_point(x, tol)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -462,3 +439,137 @@ class Model:
             f"constraints={self.num_constraints}, "
             f"{'min' if self.objective_sign > 0 else 'max'})"
         )
+
+
+class MatrixModel:
+    """A MILP in matrix form: the only form the solver layer reads.
+
+    Constraint ``i`` is row ``i`` of ``A`` with sense ``senses[i]`` and
+    right-hand side ``rhs[i]``; the objective ``objective @ x +
+    objective_constant`` is minimised (``objective_sign`` 1) or maximised
+    (-1).  :meth:`Model.to_matrix` produces one from the modelling algebra;
+    code that builds the same family of MILPs many times (the allocator)
+    assembles one directly.
+
+    ``A`` must be canonical CSR (sorted column indices, no explicit zeros);
+    ``objective`` holds the objective coefficients before the sign flip.
+    The arrays are shared, not copied: treat them as read-only.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        variable_names: Sequence[str],
+        lb: np.ndarray,
+        ub: np.ndarray,
+        integer: np.ndarray,
+        objective: np.ndarray,
+        objective_sign: int,
+        A: sparse.csr_matrix,
+        senses: Sequence[Sense],
+        rhs: np.ndarray,
+        objective_constant: float = 0.0,
+    ) -> None:
+        self.name = name
+        self.variable_names = variable_names
+        self.lb = lb
+        self.ub = ub
+        self.integer = integer
+        self.objective = objective
+        self.objective_sign = int(objective_sign)
+        self.A = A
+        self.senses = list(senses)
+        self.rhs = rhs
+        self.objective_constant = float(objective_constant)
+        self._sparse_form: Optional[SparseForm] = None
+
+    def replace(self, **changes: Any) -> "MatrixModel":
+        """A copy with some constructor arguments changed (the rest shared)."""
+        model = copy.copy(self)
+        model.__dict__.update(changes)
+        model._sparse_form = None
+        return model
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.variable_names)
+
+    @property
+    def num_constraints(self) -> int:
+        return len(self.senses)
+
+    @property
+    def integer_indices(self) -> List[int]:
+        return np.flatnonzero(self.integer).tolist()
+
+    def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.lb, self.ub
+
+    def _row_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows that go to ``A_ub``, which of those are ``>=`` rows)."""
+        ub_rows = np.array([s is not Sense.EQ for s in self.senses], dtype=bool)
+        ge = np.array([s is Sense.GE for s in self.senses], dtype=bool)
+        return ub_rows, ge[ub_rows]
+
+    def _c(self) -> np.ndarray:
+        return self.objective * self.objective_sign
+
+    def to_standard_form(self) -> StandardForm:
+        """Dense ``(c, A_ub, b_ub, A_eq, b_eq, integrality)`` for *minimisation*.
+
+        ``c`` carries the sign flip of a maximisation; ``>=`` rows are
+        negated into ``A_ub``, ``==`` rows form ``A_eq``, both in row order.
+        """
+        ub_rows, ge = self._row_masks()
+        dense = self.A.toarray()
+        A_ub = dense[ub_rows]
+        A_ub[ge] = -A_ub[ge]
+        b_ub = self.rhs[ub_rows]
+        b_ub[ge] = -b_ub[ge]
+        return self._c(), A_ub, b_ub, dense[~ub_rows], self.rhs[~ub_rows], self.integer.astype(int)
+
+    def sparse_form(self) -> SparseForm:
+        """:meth:`to_standard_form` with canonical CSR matrices, built without
+        going dense (what HiGHS is fed; cached)."""
+        if self._sparse_form is not None:
+            return self._sparse_form
+        ub_rows, ge = self._row_masks()
+        A_ub = self.A[np.flatnonzero(ub_rows)]
+        if ge.any():
+            sign = np.where(ge, -1.0, 1.0)
+            A_ub.data = A_ub.data * np.repeat(sign, np.diff(A_ub.indptr))
+        b_ub = self.rhs[ub_rows]
+        b_ub[ge] = -b_ub[ge]
+        A_eq = self.A[np.flatnonzero(~ub_rows)]
+        self._sparse_form = (self._c(), A_ub, b_ub, A_eq, self.rhs[~ub_rows], self.integer.astype(int))
+        return self._sparse_form
+
+    def recover_objective(self, x: np.ndarray) -> float:
+        """Evaluate the *original* (sign-corrected) objective at ``x``."""
+        return float(self.objective @ x) + self.objective_constant if len(x) else math.nan
+
+    def is_feasible_point(self, x: VectorLike, tol: float = 1e-6) -> bool:
+        """Check bounds, integrality and constraints at ``x``."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.num_vars,):
+            return False
+        if np.any(arr < self.lb - tol) or np.any(arr > self.ub + tol):
+            return False
+        ints = arr[self.integer]
+        if np.any(np.abs(ints - np.round(ints)) > tol):
+            return False
+        lhs = self.A @ arr
+        for value, sense, rhs in zip(lhs, self.senses, self.rhs):
+            if sense is Sense.LE and value > rhs + tol:
+                return False
+            if sense is Sense.GE and value < rhs - tol:
+                return False
+            if sense is Sense.EQ and abs(value - rhs) > tol:
+                return False
+        return True
+
+    def make_solution(self, x: np.ndarray, status: str = OPTIMAL, **info: Any) -> Solution:
+        """Package a raw assignment into a :class:`Solution`."""
+        x = np.asarray(x, dtype=float)
+        values = dict(zip(self.variable_names, x.tolist()))
+        return Solution(status=status, objective=self.recover_objective(x), values=values, x=x, info=dict(info))

@@ -1,9 +1,13 @@
 """MILP backend on top of ``scipy.optimize.milp`` (HiGHS).
 
 This is the engine behind :func:`repro.solver.solve`.  It plays the
-role Gurobi plays in the paper: the modelling layer in
-:mod:`repro.solver.model` is converted into the matrix form expected by
-HiGHS and solved to optimality.
+role Gurobi plays in the paper: a :class:`~repro.solver.model.MatrixModel`
+is handed to HiGHS in CSR form and solved to optimality.
+
+With presolve on, HiGHS may only certify that a model has no finite optimum
+("unbounded or infeasible").  The backend then solves once more without
+presolve, which tells the two apart, so such a model is reported
+``UNBOUNDED`` or ``INFEASIBLE`` rather than ``ERROR``.
 """
 
 from __future__ import annotations
@@ -13,23 +17,27 @@ import time
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from repro.solver.model import (
     ERROR,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    Model,
+    MatrixModel,
     Solution,
     SolverError,
 )
 
 __all__ = ["ScipyMilpBackend"]
 
+#: how scipy words HiGHS's "no finite optimum, cause unknown" status (which
+#: it maps to the catch-all status 4)
+UNBOUNDED_OR_INFEASIBLE = "unbounded or infeasible"
+
 
 class ScipyMilpBackend:
-    """Solve a :class:`~repro.solver.model.Model` via ``scipy.optimize.milp``.
+    """Solve a :class:`~repro.solver.model.MatrixModel` via ``scipy.optimize.milp``.
 
     Parameters
     ----------
@@ -59,21 +67,19 @@ class ScipyMilpBackend:
         self.presolve = presolve
         self.node_limit = node_limit
 
-    def solve(self, model: Model) -> Solution:
+    def solve(self, model: MatrixModel) -> Solution:
         if model.num_vars == 0:
-            return Solution(status=OPTIMAL, objective=model.objective.constant, values={}, x=np.zeros(0))
+            return Solution(status=OPTIMAL, objective=model.objective_constant, values={}, x=np.zeros(0))
 
-        c, A_ub, b_ub, A_eq, b_eq, integrality = model.to_standard_form()
+        c, A_ub, b_ub, A_eq, b_eq, integrality = model.sparse_form()
         lbs, ubs = model.bounds_arrays()
         bounds = optimize.Bounds(lbs, ubs)
 
         constraints = []
         if A_ub.shape[0]:
-            constraints.append(
-                optimize.LinearConstraint(sparse.csr_matrix(A_ub), -np.inf * np.ones(A_ub.shape[0]), b_ub)
-            )
+            constraints.append(optimize.LinearConstraint(A_ub, -np.inf * np.ones(A_ub.shape[0]), b_ub))
         if A_eq.shape[0]:
-            constraints.append(optimize.LinearConstraint(sparse.csr_matrix(A_eq), b_eq, b_eq))
+            constraints.append(optimize.LinearConstraint(A_eq, b_eq, b_eq))
 
         options = {"mip_rel_gap": self.mip_rel_gap, "presolve": self.presolve}
         if self.time_limit is not None:
@@ -81,17 +87,27 @@ class ScipyMilpBackend:
         if self.node_limit is not None:
             options["node_limit"] = int(self.node_limit)
 
+        def run(options):
+            try:
+                return optimize.milp(
+                    c=c,
+                    constraints=constraints,
+                    integrality=integrality,
+                    bounds=bounds,
+                    options=options,
+                )
+            except Exception as exc:  # pragma: no cover - defensive
+                raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
+
         start = time.perf_counter()
-        try:
-            result = optimize.milp(
-                c=c,
-                constraints=constraints,
-                integrality=integrality,
-                bounds=bounds,
-                options=options,
-            )
-        except Exception as exc:  # pragma: no cover - defensive
-            raise SolverError(f"scipy.optimize.milp failed: {exc}") from exc
+        result = run(options)
+        presolve_retry = (
+            self.presolve and result.x is None and UNBOUNDED_OR_INFEASIBLE in str(getattr(result, "message", ""))
+        )
+        if presolve_retry:
+            # Presolve can only tell that no finite optimum exists; without it
+            # HiGHS says which of the two it is.
+            result = run({**options, "presolve": False})
         elapsed = time.perf_counter() - start
 
         info = {
@@ -104,6 +120,8 @@ class ScipyMilpBackend:
             # returned but not proven optimal.
             "optimal_proven": getattr(result, "status", -1) == 0,
         }
+        if presolve_retry:
+            info["presolve_retry"] = True
 
         # scipy.optimize.milp status codes: 0 optimal, 1 iteration/time limit,
         # 2 infeasible, 3 unbounded, 4 other.

@@ -1,10 +1,14 @@
 """Tests for the Resource Manager: demand estimation, two-step scaling, plan stability."""
 
+import dataclasses
+import time
+
 import pytest
 
-from repro.core.allocation import ACCURACY_SCALING, HARDWARE_SCALING
+from repro.core.allocation import ACCURACY_SCALING, HARDWARE_SCALING, AllocationPlan, AllocationProblem
 from repro.core.metadata import MetadataStore
 from repro.core.resource_manager import DemandEstimator, ResourceManager
+from repro.scenarios import get_scenario
 
 
 class TestDemandEstimator:
@@ -176,3 +180,79 @@ class TestPlanStability:
             metadata.report_multiplier("detect_big", 4.0)
         problem = manager._problem()
         assert problem.multiplicative_factor(small_pipeline.registry.variant("detect_big")) > 2.0
+
+
+class TestCertifiedSkip:
+    """Re-plans whose accuracy-scaling plan the switch hysteresis would
+    discard are skipped; nothing observable may change."""
+
+    OPTIONS = {"mip_rel_gap": 1e-6, "time_limit": None}
+
+    def test_deferred_entry_solves_on_first_hit(self, small_pipeline, monkeypatch):
+        manager = ResourceManager(
+            small_pipeline, num_workers=10, latency_slo_ms=150.0, utilization_target=1.0,
+            solver_options=dict(self.OPTIONS),
+        )
+        demand = 1.5 * manager.max_capacity_qps(restrict_to_best=True)
+        first = manager.allocate(0.0, demand_qps=demand)
+        assert first.mode == ACCURACY_SCALING and first.feasible
+
+        # 5% less demand: the accuracy-scaling plan cannot gain the margin.
+        target = 0.95 * demand
+        solves, solve_time = manager.stats.milp_solves, manager.stats.total_solve_time_s
+        certify = ResourceManager._discard_certified
+        monkeypatch.setattr(  # the certificate's LPs count as solver time
+            ResourceManager, "_discard_certified",
+            lambda self, problem, target_qps: time.sleep(0.05) or certify(self, problem, target_qps),
+        )
+        assert manager.allocate(10.0, demand_qps=target) is first
+        monkeypatch.undo()
+        assert manager.stats.replans_skipped == 1
+        assert manager.stats.milp_solves == solves + 1  # hardware scaling only
+        assert manager.stats.total_solve_time_s - solve_time >= 0.05
+        key = manager._cache_key(target)
+        assert not isinstance(manager._plan_cache[key], AllocationPlan)
+
+        # The first hit solves the deferred MILP (hardware scaling is not
+        # re-solved) and caches the plan an immediate solve would have.
+        solves = manager.stats.milp_solves
+        hardware_solves = []
+        solve_hardware = AllocationProblem.solve_hardware_scaling
+        monkeypatch.setattr(
+            AllocationProblem, "solve_hardware_scaling",
+            lambda problem, demand: hardware_solves.append(demand) or solve_hardware(problem, demand),
+        )
+        assert manager.allocate(20.0, demand_qps=target) is first
+        assert manager.stats.milp_solves == solves + 1
+        assert hardware_solves == []
+        monkeypatch.undo()
+        cached = manager._plan_cache[key]
+        assert isinstance(cached, AllocationPlan)
+        assert cached.solver_info["deferred"] is True
+        problem = manager._problem()
+        problem.solver_options["presolve"] = True  # same HiGHS run, separate solution-cache entry
+        reference = problem.solve(target, preferred_variants={a.variant_name for a in first.allocations})
+        assert cached.allocations == reference.allocations
+        assert cached.path_ratios == reference.path_ratios
+        assert cached.expected_accuracy == reference.expected_accuracy
+        assert cached.expected_accuracy <= first.expected_accuracy + manager.accuracy_improvement_margin
+
+    def test_skips_leave_the_simulation_unchanged(self, monkeypatch):
+        """A fig6-shaped run gives the same summary with and without the skips."""
+        base = get_scenario("social_twitter_bursty")
+        spec = base.with_overrides(
+            trace_params={**base.trace_params, "duration_s": 40},
+            control_overrides={
+                **base.control_overrides,
+                "solver_options": {"mip_rel_gap": 2e-3, "time_limit": None, "node_limit": 100},
+            },
+        )
+        sim = spec.build(2)
+        skipping = sim.run()
+        assert sim.control_plane.resource_manager.stats.replans_skipped > 0
+
+        monkeypatch.setattr(ResourceManager, "_discard_certified", lambda self, problem, target_qps: False)
+        sim = spec.build(2)
+        solving = sim.run()
+        assert sim.control_plane.resource_manager.stats.replans_skipped == 0
+        assert dataclasses.asdict(skipping) == dataclasses.asdict(solving)

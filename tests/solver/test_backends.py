@@ -67,29 +67,29 @@ def infeasible_model():
 
 class TestScipyBackend:
     def test_knapsack_optimum(self):
-        solution = ScipyMilpBackend().solve(knapsack_model())
+        solution = ScipyMilpBackend().solve(knapsack_model().to_matrix())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(14.0, abs=1e-6)
         assert solution["a"] == pytest.approx(1.0)
         assert solution["c"] == pytest.approx(1.0)
 
     def test_covering_optimum(self):
-        solution = ScipyMilpBackend().solve(covering_model())
+        solution = ScipyMilpBackend().solve(covering_model().to_matrix())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(4.0, abs=1e-6)
 
     def test_lp_optimum(self):
-        solution = ScipyMilpBackend().solve(lp_model())
+        solution = ScipyMilpBackend().solve(lp_model().to_matrix())
         assert solution.status == OPTIMAL
         assert solution.objective == pytest.approx(8.0, abs=1e-6)
 
     def test_infeasible_detected(self):
-        solution = ScipyMilpBackend().solve(infeasible_model())
+        solution = ScipyMilpBackend().solve(infeasible_model().to_matrix())
         assert solution.status == INFEASIBLE
 
     def test_solution_is_feasible_point(self):
         model = knapsack_model()
-        solution = ScipyMilpBackend().solve(model)
+        solution = ScipyMilpBackend().solve(model.to_matrix())
         assert model.is_feasible_point(solution.x)
 
     def test_mixed_integer_continuous(self):
@@ -98,29 +98,29 @@ class TestScipyBackend:
         y = m.add_var("y", ub=10)
         m.add_constraint(x + y <= 7.5)
         m.maximize(2 * x + y)
-        solution = ScipyMilpBackend().solve(m)
+        solution = ScipyMilpBackend().solve(m.to_matrix())
         assert solution.status == OPTIMAL
         assert solution["x"] == pytest.approx(7.0)
         assert solution["y"] == pytest.approx(0.5, abs=1e-6)
 
     def test_empty_model(self):
-        solution = ScipyMilpBackend().solve(Model("empty"))
+        solution = ScipyMilpBackend().solve(Model("empty").to_matrix())
         assert solution.status == OPTIMAL
 
     def test_unbounded_detection(self):
         m = Model("unbounded")
         x = m.add_var("x")
         m.maximize(x * 1.0)
-        solution = ScipyMilpBackend().solve(m)
+        solution = ScipyMilpBackend().solve(m.to_matrix())
         assert solution.status in (UNBOUNDED, INFEASIBLE)
 
     def test_integer_values_are_snapped(self):
-        solution = ScipyMilpBackend().solve(covering_model())
+        solution = ScipyMilpBackend().solve(covering_model().to_matrix())
         assert solution["x"] == int(solution["x"])
         assert solution["y"] == int(solution["y"])
 
     def test_runtime_reported(self):
-        solution = ScipyMilpBackend().solve(knapsack_model())
+        solution = ScipyMilpBackend().solve(knapsack_model().to_matrix())
         assert solution.info["backend"] == "scipy-highs"
         assert solution.info["runtime_s"] >= 0
 

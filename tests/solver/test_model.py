@@ -3,6 +3,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.solver.model import INFEASIBLE, OPTIMAL, LinExpr, Model, Sense, Solution
 
@@ -161,6 +162,27 @@ class TestStandardForm:
         *_, integrality = m.to_standard_form()
         assert list(integrality) == [1, 0]
 
+    def test_to_matrix_is_canonical_csr(self):
+        """Rows are CSR with sorted columns and no explicit zeros -- what
+        ``scipy.sparse.csr_matrix`` makes of the dense rows -- and a
+        constraint's constant moves to the right-hand side."""
+        m = Model()
+        x, y, z = m.add_var("x"), m.add_var("y"), m.add_var("z")
+        m.add_constraint(z * 2.0 + x * 0.0 + y - 1 <= 4)  # z before y, an explicit 0 * x
+        m.add_constraint(x - x + y >= 1)  # x cancels to a zero coefficient
+        m.minimize(x + y)
+        matrix = m.to_matrix()
+        dense = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.0]])
+        expected = sparse.csr_matrix(dense)
+        assert matrix.A.indptr.tobytes() == expected.indptr.tobytes()
+        assert matrix.A.indices.tobytes() == expected.indices.tobytes()
+        assert matrix.A.data.tobytes() == expected.data.tobytes()
+        assert matrix.senses == [Sense.LE, Sense.GE]
+        assert list(matrix.rhs) == [5.0, 1.0]
+        assert m.to_matrix() is matrix  # cached until the model changes
+        m.add_var("w")
+        assert m.to_matrix() is not matrix
+
     def test_is_feasible_point_checks_bounds_integrality_constraints(self):
         m = Model()
         x = m.add_var("x", lb=0, ub=5, integer=True)
@@ -176,7 +198,7 @@ class TestStandardForm:
         m = Model()
         x = m.add_var("x")
         m.maximize(2 * x + 1)
-        sol = m.make_solution(np.array([3.0]))
+        sol = m.to_matrix().make_solution(np.array([3.0]))
         assert sol.objective == pytest.approx(7.0)
         assert sol["x"] == pytest.approx(3.0)
         assert sol.get(x) == pytest.approx(3.0)

@@ -3,7 +3,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.solver import Model, OPTIMAL, ScipyMilpBackend
 from tests.solver.reference import BoxMilp, reference_solve
@@ -57,7 +57,7 @@ class TestKnapsackProperties:
         )
         model = problem.to_model("hyp-knapsack")
         status, objective = reference_solve(problem)
-        solution = ScipyMilpBackend().solve(model)
+        solution = ScipyMilpBackend().solve(model.to_matrix())
         assert status == solution.status == OPTIMAL
         assert solution.objective == pytest.approx(objective, abs=1e-6)
         assert model.is_feasible_point(solution.x)
@@ -78,7 +78,7 @@ class TestKnapsackProperties:
             total = total + x
         m.add_constraint(served >= demand)
         m.minimize(total)
-        solution = ScipyMilpBackend().solve(m)
+        solution = ScipyMilpBackend().solve(m.to_matrix())
         if solution.status == OPTIMAL:
             provided = sum(solution[f"x{i}"] * q for i, q in enumerate(throughputs))
             assert provided >= demand - 1e-6
@@ -89,8 +89,10 @@ class TestKnapsackProperties:
         demand=st.floats(min_value=1.0, max_value=200.0),
         throughputs=st.lists(st.floats(min_value=5.0, max_value=100.0), min_size=1, max_size=4),
     )
+    @example(demand=101.0, throughputs=[5.0])  # 20 replicas of 5 qps fall 1 qps short
     def test_covering_matches_reference(self, demand, throughputs):
-        """HiGHS finds the fewest replicas that cover the demand."""
+        """HiGHS finds the fewest replicas that cover the demand, and calls
+        the demand infeasible exactly when 20 replicas of each cannot cover it."""
         n = len(throughputs)
         problem = BoxMilp(
             c=np.ones(n),
@@ -101,6 +103,7 @@ class TestKnapsackProperties:
             maximize=False,
         )
         status, objective = reference_solve(problem)
-        solution = ScipyMilpBackend().solve(problem.to_model("hyp-cover"))
-        assert status == solution.status == OPTIMAL  # 20 replicas of >= 5 qps cover 200 qps
-        assert solution.objective == pytest.approx(objective, abs=1e-6)
+        solution = ScipyMilpBackend().solve(problem.to_model("hyp-cover").to_matrix())
+        assert solution.status == status
+        if status == OPTIMAL:
+            assert solution.objective == pytest.approx(objective, abs=1e-6)

@@ -86,9 +86,9 @@ class TestSolutionCache:
         assert second.values["x0"] != -42.0
 
     def test_fingerprint_is_content_addressed(self):
-        a = fingerprint_model(build_allocation_like_model())
-        b = fingerprint_model(build_allocation_like_model())
-        c = fingerprint_model(build_allocation_like_model(demand=91.0))
+        a = fingerprint_model(build_allocation_like_model().to_matrix())
+        b = fingerprint_model(build_allocation_like_model().to_matrix())
+        c = fingerprint_model(build_allocation_like_model(demand=91.0).to_matrix())
         assert a == b
         assert a != c
 

@@ -52,7 +52,7 @@ class TestHighsNodeBudget:
 
     def test_node_budget_stops_before_the_proof(self):
         model = multi_knapsack_model()
-        solution = ScipyMilpBackend(**self.BUDGET).solve(model)
+        solution = ScipyMilpBackend(**self.BUDGET).solve(model.to_matrix())
         # The root's incumbent comes back, but unproven.
         assert solution.status == OPTIMAL
         assert solution.info["optimal_proven"] is False
@@ -60,8 +60,8 @@ class TestHighsNodeBudget:
 
     def test_unbudgeted_solve_proves_optimality(self):
         model = multi_knapsack_model()
-        proven = ScipyMilpBackend(time_limit=None, mip_rel_gap=0.0).solve(model)
-        budgeted = ScipyMilpBackend(**self.BUDGET).solve(model)
+        proven = ScipyMilpBackend(time_limit=None, mip_rel_gap=0.0).solve(model.to_matrix())
+        budgeted = ScipyMilpBackend(**self.BUDGET).solve(model.to_matrix())
         assert proven.status == OPTIMAL
         assert proven.info["optimal_proven"] is True
         assert proven.objective >= budgeted.objective - 1e-9
@@ -69,7 +69,7 @@ class TestHighsNodeBudget:
     def test_node_budgeted_solve_is_deterministic(self):
         """A solve stopped by the node budget, not by the clock, returns the
         same incumbent every time."""
-        first, second = (ScipyMilpBackend(**self.BUDGET).solve(multi_knapsack_model()) for _ in range(2))
+        first, second = (ScipyMilpBackend(**self.BUDGET).solve(multi_knapsack_model().to_matrix()) for _ in range(2))
         assert first.info["optimal_proven"] is second.info["optimal_proven"] is False
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
@@ -78,8 +78,8 @@ class TestHighsNodeBudget:
 class TestScipyNodeLimit:
     def test_node_limit_option_accepted_and_deterministic(self):
         model = knapsack_model()
-        first = ScipyMilpBackend(node_limit=10_000).solve(model)
-        second = ScipyMilpBackend(node_limit=10_000).solve(model)
+        first = ScipyMilpBackend(node_limit=10_000).solve(model.to_matrix())
+        second = ScipyMilpBackend(node_limit=10_000).solve(model.to_matrix())
         assert first.status == OPTIMAL
         assert first.objective == second.objective
         assert np.array_equal(first.x, second.x)
