@@ -11,9 +11,9 @@ defines the read-only snapshot types that expose those signals to policies:
   worker fleet (queue depth, in-flight count, effective service rate, recent
   completions per logical worker), assembled by the cluster each control
   period and on demand by dispatch-time routing probes;
-* :class:`TelemetryWindow` — the telemetry half of the feedback loop: latency
-  quantiles (streaming P² estimates), windowed completion/drop/late counts and
-  the resulting violation rates, plus the control plane's demand estimate;
+* :class:`TelemetryWindow` — the telemetry half of the feedback loop: exact
+  per-window latency quantiles, windowed completion/drop/late counts and the
+  resulting violation rates, plus the control plane's demand estimate;
 * :class:`ControlContext` — what :class:`~repro.control.engine.ControlPlaneEngine`
   hands to :meth:`AllocationPolicy.allocate` and the routing refresh each
   control period: ``now_s`` + ClusterView + TelemetryWindow.
@@ -149,10 +149,9 @@ class TelemetryWindow:
     latencies observed since the last committed context (falling back to the
     previous window while the current one is empty, and NaN before any
     sample).  A transient tail spike therefore decays out of ``p99`` within
-    one window of the traffic returning to normal — it no longer lingers for
-    the rest of the run the way the pre-windowing cumulative P² estimate
-    did.  All fields are plain floats/ints so windows are picklable and
-    comparable.
+    one window of the traffic returning to normal instead of lingering for
+    the rest of the run.  All fields are plain floats/ints so windows are
+    picklable and comparable.
     """
 
     #: wall of the window in simulated seconds (0.0 on the first period)

@@ -20,7 +20,6 @@ step logic that previously lived in ``core/controller.py`` and
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -29,7 +28,6 @@ from repro.core.allocation import AllocationPlan
 from repro.core.load_balancer import LoadBalancer, RoutingPlan, WorkerState, workers_from_plan
 from repro.core.pipeline import Pipeline
 from repro.core.resource_manager import DemandEstimator
-from repro.telemetry.metrics import WindowedHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.control.context import ClusterStateProvider
@@ -185,17 +183,12 @@ class ControlPlaneEngine:
         # latencies observed *since the last committed context* (plus the
         # previous window as fallback while the current one is empty), so the
         # feedback policies see the tail of the window, not of the whole run.
-        # Registries without the windowed metric (hand-built tests, older
-        # pickles) fall back to the run-cumulative histogram.
-        latency = registry.get("requests.latency_ms.window")
-        if latency is None:
-            latency = registry.get("requests.latency_ms")
-        p50 = latency.quantile(0.5) if latency is not None else math.nan
-        p99 = latency.quantile(0.99) if latency is not None else math.nan
+        latency = registry.windowed_histogram("requests.latency_ms.window")
+        p50 = latency.quantile(0.5)
+        p99 = latency.quantile(0.99)
         if commit:
             self._window_marker = (now_s, completed, dropped, late, retries, failover, timeouts)
-            if isinstance(latency, WindowedHistogram):
-                latency.rotate()
+            latency.rotate()
         return TelemetryWindow(
             window_s=max(0.0, now_s - marker[0]),
             completed=int(completed - marker[1]),

@@ -82,7 +82,7 @@ class SimulationSummary:
     p99_latency_ms: float
     intervals: List[IntervalMetrics] = field(default_factory=list)
     #: flattened TelemetryRegistry snapshot of the run (counters, gauges,
-    #: streaming-quantile histograms); plain floats so summaries stay picklable
+    #: exact-quantile histograms); plain floats so summaries stay picklable
     telemetry: Dict[str, float] = field(default_factory=dict)
     #: ordered ``(time_s, label)`` fault-injection events of the run
     #: (fail/recover/crash/slowdown/net-spike markers from the

@@ -1,15 +1,16 @@
-"""Telemetry subsystem: counters, gauges and streaming-quantile histograms.
+"""Telemetry subsystem: counters, gauges, histograms and timelines.
 
 Replaces the ad-hoc metric attributes that used to be scattered across the
 frontend, workers and control planes with one registry per simulation run:
 
 * :class:`~repro.telemetry.metrics.Counter` / ``Gauge`` -- O(1) event and
   level tracking with ``__slots__`` objects cheap enough for per-query paths.
-* :class:`~repro.telemetry.metrics.Histogram` -- streaming distribution
-  summaries whose quantiles come from the P² algorithm (constant memory).
-* :class:`~repro.telemetry.metrics.WindowedHistogram` -- exact quantiles over
-  a rotating pair of observation windows (the control plane's per-window
-  tail-latency view, rotated once per committed control tick).
+* :class:`~repro.telemetry.metrics.Histogram` -- run-cumulative
+  distribution summaries with exact count/sum/min/max/mean and quantiles.
+* :class:`~repro.telemetry.metrics.WindowedHistogram` -- the same quantiles
+  over a rotating pair of observation windows (the control plane's
+  per-window tail-latency view, rotated once per committed control tick).
+  Both answer nearest-rank quantiles by one shared rule.
 * :class:`~repro.telemetry.registry.TelemetryRegistry` -- named create-or-get
   surface whose ``snapshot()`` is a picklable flat dict, shipped through
   :class:`~repro.simulator.metrics.SimulationSummary` and aggregated across
@@ -20,7 +21,6 @@ from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
-    P2Quantile,
     Timeline,
     WindowedHistogram,
 )
@@ -30,7 +30,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "P2Quantile",
     "Timeline",
     "TelemetryRegistry",
     "WindowedHistogram",

@@ -10,7 +10,7 @@ aggregation (see :meth:`repro.scenarios.sweep.SweepResult.telemetry`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.telemetry.metrics import Counter, Gauge, Histogram, Timeline, WindowedHistogram
 
@@ -42,9 +42,8 @@ class TelemetryRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, lambda: Gauge(name), Gauge)
 
-    def histogram(self, name: str, quantiles: Optional[Iterable[float]] = None) -> Histogram:
-        quantiles = tuple(quantiles) if quantiles is not None else Histogram.DEFAULT_QUANTILES
-        return self._get(name, lambda: Histogram(name, quantiles), Histogram)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, lambda: Histogram(name), Histogram)
 
     def windowed_histogram(self, name: str) -> WindowedHistogram:
         return self._get(name, lambda: WindowedHistogram(name), WindowedHistogram)

@@ -1,5 +1,7 @@
 """Unit tests for the unified control-plane engine and allocation policies."""
 
+import math
+
 import pytest
 
 from repro.baselines import BaselineControlPlane, StaticPlanControlPlane
@@ -12,7 +14,7 @@ from repro.control import (
 )
 from repro.core import Controller, ControllerConfig
 from repro.core.allocation import AllocationProblem
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry import TelemetryRegistry, WindowedHistogram
 
 
 def solved_plan(pipeline, num_workers=10, demand=40.0):
@@ -122,12 +124,17 @@ class TestTelemetryWindowQuantiles:
         ctx = engine.build_context(1.0)  # nothing finished this window yet
         assert ctx.window.p50_latency_ms == 200.0
 
-    def test_falls_back_to_cumulative_histogram_when_windowed_absent(self, small_pipeline):
+    def test_no_latency_samples_read_nan_and_commit_still_rotates(self, small_pipeline):
         registry = TelemetryRegistry()
         engine = self._engine(small_pipeline, registry)
-        registry.histogram("requests.latency_ms").observe_many([50.0] * 20)
-        ctx = engine.build_context(1.0)
-        assert ctx.window.p50_latency_ms == pytest.approx(50.0)
+        engine.step(0.0, force=True)  # commits on a registry with no samples
+        window = engine.last_context.window
+        assert math.isnan(window.p50_latency_ms) and math.isnan(window.p99_latency_ms)
+        windowed = registry.get("requests.latency_ms.window")
+        assert isinstance(windowed, WindowedHistogram)  # created on first read
+        assert windowed.windows == 1
+        engine.step(1.0)
+        assert windowed.windows == 2
 
 
 class TestPlanCache:

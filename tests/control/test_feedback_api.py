@@ -166,7 +166,7 @@ class TestContextAssembly:
         )
         engine.report_demand(0.0, 40.0)
         completed = registry.counter("requests.completed")
-        registry.histogram("requests.latency_ms").observe_many([10.0, 20.0, 500.0])
+        registry.windowed_histogram("requests.latency_ms.window").observe_many([10.0, 20.0, 500.0])
         completed.value = 3
         engine.step(0.0, force=True)
         assert engine.last_context.window.completed == 3

@@ -6,6 +6,7 @@ import pytest
 
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.query import IntermediateQuery, Request, RequestStatus
+from repro.telemetry import TelemetryRegistry
 
 
 class TestRequest:
@@ -151,3 +152,38 @@ class TestMetricsCollector:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             MetricsCollector(cluster_size=4, interval_s=0.0)
+
+    def test_telemetry_latency_covers_completed_and_late_not_dropped(self):
+        registry = TelemetryRegistry()
+        collector = MetricsCollector(cluster_size=4, telemetry=registry)
+        # (arrival_s, completion_s, dropped) with a 100 ms SLO
+        finished = [
+            (0.0, 0.030, False),  # completed, 30 ms
+            (0.1, 0.180, False),  # completed, 80 ms
+            (0.2, 0.450, False),  # late, 250 ms
+            (0.3, 0.310, True),  # dropped after 10 ms: no latency sample
+            (0.4, 0.420, False),  # completed, 20 ms
+            (0.5, 1.400, False),  # late, 900 ms
+            (0.6, 0.605, True),  # dropped after 5 ms: no latency sample
+        ]
+        for arrival, completion, dropped in finished:
+            collector.record_request_finished(finished_request(arrival, completion, dropped=dropped))
+        latencies = sorted(
+            (completion - arrival) * 1000.0 for arrival, completion, dropped in finished if not dropped
+        )
+        assert collector.completed_requests == 3 and collector.late_requests == 2
+        assert collector.dropped_requests == 2
+
+        def nearest_rank(q):
+            return latencies[min(len(latencies) - 1, int(q * len(latencies)))]
+
+        snapshot = registry.snapshot()
+        assert snapshot["requests.latency_ms.count"] == 5.0
+        assert snapshot["requests.latency_ms.min"] == latencies[0]
+        assert snapshot["requests.latency_ms.max"] == latencies[-1]
+        for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert snapshot[f"requests.latency_ms.{key}"] == nearest_rank(q)
+        # the control plane's per-window view holds the same population
+        window = registry.windowed_histogram("requests.latency_ms.window")
+        assert window.count == 5
+        assert window.quantile(0.5) == nearest_rank(0.5)

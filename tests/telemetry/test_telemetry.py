@@ -2,15 +2,15 @@
 
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios import SweepRunner, get_scenario
 from repro.telemetry import (
     Counter,
     Gauge,
     Histogram,
-    P2Quantile,
     TelemetryRegistry,
     WindowedHistogram,
 )
@@ -53,27 +53,80 @@ class TestPrimitives:
         assert math.isnan(histogram.snapshot()["h.p50"])
 
 
-class TestP2Quantile:
-    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
-    def test_tracks_normal_distribution(self, q):
-        rng = np.random.default_rng(7)
-        samples = rng.normal(100.0, 15.0, size=20000)
-        estimator = P2Quantile(q)
-        for x in samples:
-            estimator.observe(x)
-        exact = float(np.quantile(samples, q))
-        spread = samples.max() - samples.min()
-        assert abs(estimator.value() - exact) / spread < 0.02
+def nearest_rank_oracle(values, q):
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
-    def test_small_sample_fallback_is_exact_order_statistic(self):
-        estimator = P2Quantile(0.5)
-        for x in (5.0, 1.0, 3.0):
-            estimator.observe(x)
-        assert estimator.value() == 3.0
 
-    def test_invalid_quantile_rejected(self):
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+class TestExactQuantiles:
+    """Both histograms answer the nearest-rank quantile of what they saw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(finite_floats, min_size=1, max_size=200),
+        q=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_histogram_and_window_match_sorted_oracle(self, values, q):
+        histogram = Histogram("h")
+        histogram.observe_many(values)
+        windowed = WindowedHistogram("w")
+        for x in values:
+            windowed.observe(x)
+        expected = nearest_rank_oracle(values, q)
+        assert histogram.quantile(q) == expected
+        assert windowed.quantile(q) == expected
+        snapshot = histogram.snapshot()
+        assert set(snapshot) == {
+            f"h.{key}" for key in ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
+        }
+        assert snapshot["h.count"] == float(len(values))
+        assert snapshot["h.min"] == min(values) and snapshot["h.max"] == max(values)
+        assert snapshot["h.mean"] == pytest.approx(sum(values) / len(values), abs=1e-6)
+        for key, rank in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert snapshot[f"h.{key}"] == nearest_rank_oracle(values, rank)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(finite_floats, min_size=1, max_size=100), data=st.data())
+    def test_snapshot_ignores_observation_order_and_chunking(self, values, data):
+        """Exact quantiles depend on the multiset of samples only (P² did not)."""
+        reordered = data.draw(st.permutations(values))
+        cut = data.draw(st.integers(min_value=0, max_value=len(values)))
+        in_order = Histogram("h")
+        in_order.observe_many(values)
+        chunked = Histogram("h")
+        chunked.observe_many(reordered[:cut])
+        for x in reordered[cut:]:
+            chunked.observe(x)
+        expected = in_order.snapshot()
+        got = chunked.snapshot()
+        for key in ("count", "min", "max", "p50", "p90", "p99"):
+            assert got[f"h.{key}"] == expected[f"h.{key}"]
+
+    def test_empty_histogram_readers_are_nan(self):
+        histogram = Histogram("h")
+        assert histogram.count == 0 and histogram.sum == 0.0
+        assert math.isnan(histogram.min) and math.isnan(histogram.max)
+        assert math.isnan(histogram.quantile(0.5))
+        snapshot = histogram.snapshot()
+        assert snapshot["h.count"] == 0.0
+        assert all(math.isnan(snapshot[f"h.{key}"]) for key in ("mean", "min", "max", "p50", "p90", "p99"))
+
+    def test_small_sample_quantile_is_an_observed_order_statistic(self):
+        histogram = Histogram("h")
+        histogram.observe_many([5.0, 1.0, 3.0])
+        assert histogram.quantile(0.5) == 3.0
+        assert histogram.quantile(0.99) == 5.0
+
+    def test_quantile_outside_unit_interval_rejected(self):
+        histogram = Histogram("h")
+        histogram.observe(1.0)
         with pytest.raises(ValueError):
-            P2Quantile(1.0)
+            histogram.quantile(-0.1)
+        with pytest.raises(ValueError):
+            histogram.quantile(1.5)
 
 
 class TestWindowedHistogram:
@@ -108,7 +161,7 @@ class TestWindowedHistogram:
         windowed = WindowedHistogram("w")
         for x in (5.0, 1.0, 3.0):
             windowed.observe(x)
-        assert windowed.quantile(0.5) == 3.0  # same convention as P2Quantile
+        assert windowed.quantile(0.5) == 3.0
 
     def test_equal_sized_consecutive_windows_are_not_confused(self):
         """Regression: the sorted-buffer cache must invalidate on rotation
@@ -150,6 +203,17 @@ class TestRegistry:
         registry.counter("a")
         with pytest.raises(TypeError):
             registry.gauge("a")
+
+    def test_histogram_is_created_by_name_only(self):
+        registry = TelemetryRegistry()
+        histogram = registry.histogram("lat")
+        assert registry.histogram("lat") is histogram
+        with pytest.raises(TypeError):
+            registry.histogram("lat", quantiles=(0.5,))  # the quantile set is fixed
+        histogram.observe(1.0)
+        assert sorted(registry.snapshot()) == sorted(
+            f"lat.{key}" for key in ("count", "sum", "mean", "min", "max", "p50", "p90", "p99")
+        )
 
     def test_snapshot_is_flat_and_sorted(self):
         registry = TelemetryRegistry()
