@@ -41,7 +41,7 @@ def have_tool(tool: str) -> bool:
 def run_reprolint(markdown: bool) -> int:
     from repro.lint.cli import main as lint_main
 
-    args = ["src", "tests", "examples", "scripts", "--root", str(REPO_ROOT)]
+    args = ["src", "tests", "examples", "scripts", "benchmarks", "--root", str(REPO_ROOT)]
     if markdown:
         args += ["--format", "markdown"]
     return lint_main(args)

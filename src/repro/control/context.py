@@ -210,11 +210,6 @@ class ControlContext:
     #: the engine's configured end-to-end latency SLO
     latency_slo_ms: float = 0.0
 
-    @classmethod
-    def at(cls, now_s: float, latency_slo_ms: float = 0.0) -> "ControlContext":
-        """A minimal context with an empty view (tests, legacy call sites)."""
-        return cls(now_s=now_s, view=ClusterView.empty(now_s), latency_slo_ms=latency_slo_ms)
-
 
 @runtime_checkable
 class ClusterStateProvider(Protocol):

@@ -248,7 +248,7 @@ class ControlPlaneEngine:
         self.allocation.on_context(ctx)
         new_plan = None
         if force or self.allocation.should_reallocate(now_s):
-            plan = self.allocation.run_allocation(ctx)
+            plan = self.allocation.allocate(ctx)
             if self.telemetry is not None:
                 self._tele_allocations.inc()
             if self._plan_differs(plan):

@@ -12,11 +12,6 @@ the multiplier estimates).  Feedback-driven policies override
 :meth:`allocate` itself and consult the context: :class:`SLOFeedbackPolicy`
 scales its capacity target from the observed p99-vs-SLO error.
 
-The pre-feedback signature ``allocate(now_s)`` keeps working: the engine
-dispatches through :meth:`AllocationPolicy.run_allocation`, which detects a
-legacy override, emits one :class:`DeprecationWarning` per policy instance
-and calls it with ``ctx.now_s``.
-
 Policies are registered by name (:func:`register_allocation_policy`); Loki's
 two-step MILP allocator (:class:`repro.core.controller.Controller`) and the
 InferLine/Proteus baselines (:mod:`repro.baselines`) are all policies behind
@@ -25,9 +20,7 @@ the same :class:`~repro.control.engine.ControlPlaneEngine`.
 
 from __future__ import annotations
 
-import inspect
 import math
-import warnings
 from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.control.context import ControlContext
@@ -124,65 +117,9 @@ class AllocationPolicy:
             return True
         return now_s - engine.last_allocation_s >= engine.reallocation_interval_s
 
-    #: classification of the subclass's allocate override: None = not yet
-    #: inspected, True = legacy ``allocate(now_s)``, False = context-aware
-    _allocate_is_legacy: Optional[bool] = None
-
-    def run_allocation(self, ctx: ControlContext) -> AllocationPlan:
-        """Engine entry point: dispatch to :meth:`allocate`, shimming legacy overrides.
-
-        A policy written against the pre-feedback API (``allocate(now_s)``)
-        is detected by its signature, warned about once per instance, and
-        called with ``ctx.now_s``; context-aware policies receive the full
-        :class:`~repro.control.context.ControlContext`.
-        """
-        if self._allocate_is_legacy is None:
-            self._allocate_is_legacy = self._classify_allocate()
-        if self._allocate_is_legacy:
-            return self.allocate(ctx.now_s)
-        return self.allocate(ctx)
-
-    def _classify_allocate(self) -> bool:
-        fn = type(self).allocate
-        if fn is AllocationPolicy.allocate:
-            return False
-        try:
-            parameters = list(inspect.signature(fn).parameters.values())
-        except (TypeError, ValueError):  # C callables: assume context-aware
-            return False
-        positional = [
-            p
-            for p in parameters[1:]  # drop self
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        if positional:
-            first = positional[0]
-            if first.name in ("ctx", "context"):
-                return False
-            # An annotation naming ControlContext also marks a context-aware
-            # override, whatever the parameter is called.
-            if "ControlContext" in str(first.annotation):
-                return False
-        if any(p.kind is p.VAR_POSITIONAL for p in parameters):
-            return False
-        warnings.warn(
-            f"{type(self).__name__}.allocate(now_s) is deprecated; accept a "
-            "ControlContext (`allocate(ctx)`, ctx.now_s carries the timestamp) — "
-            "see the 'Feedback control' section of the README for migration notes",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return True
-
-    def allocate(self, ctx) -> AllocationPlan:
-        """One allocation round: target -> cache lookup -> ``build_plan`` on miss.
-
-        ``ctx`` is normally a :class:`~repro.control.context.ControlContext`;
-        a bare timestamp is still accepted so legacy subclasses that delegate
-        to ``super().allocate(now_s)`` keep working.
-        """
+    def allocate(self, ctx: ControlContext) -> AllocationPlan:
+        """One allocation round: target -> cache lookup -> ``build_plan`` on miss."""
         engine = self.engine
-        now_s = ctx.now_s if isinstance(ctx, ControlContext) else float(ctx)
         target = self.provisioning_target_qps()
         key = (round(target, 3), self.fingerprint())
         plan = engine.plan_cache_get(key)
@@ -190,7 +127,7 @@ class AllocationPolicy:
             plan = self.build_plan(target)
             engine.plan_cache_put(key, plan)
             engine.allocations_performed += 1
-        engine.last_allocation_s = now_s
+        engine.last_allocation_s = ctx.now_s
         return plan
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:
@@ -243,10 +180,9 @@ class LokiAllocationPolicy(AllocationPolicy):
     def should_reallocate(self, now_s: float) -> bool:
         return self.resource_manager.should_reallocate(now_s)
 
-    def allocate(self, ctx) -> AllocationPlan:
-        now_s = ctx.now_s if isinstance(ctx, ControlContext) else float(ctx)
-        plan = self.resource_manager.allocate(now_s)
-        self.engine.last_allocation_s = now_s
+    def allocate(self, ctx: ControlContext) -> AllocationPlan:
+        plan = self.resource_manager.allocate(ctx.now_s)
+        self.engine.last_allocation_s = ctx.now_s
         return plan
 
     def build_plan(self, target_demand_qps: float) -> AllocationPlan:

@@ -42,7 +42,6 @@ run of draws to the same worker.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +52,6 @@ from repro.core.load_balancer import (
     RoutingPlan,
     RoutingTable,
     WorkerState,
-    _accepts_keyword,
 )
 from repro.core.pipeline import Pipeline
 
@@ -120,16 +118,10 @@ class TrafficSplitPolicy(RoutingPolicy):
 
     Subclasses implement :meth:`split`, which decides how one parcel of demand
     is divided across one task's workers given their current spare capacity.
-    The current signature is ``split(workers, demand_qps, view)``, where
+    The signature is ``split(workers, demand_qps, view)``, where
     ``view`` is the :class:`~repro.control.context.ClusterView` of the control
-    period triggering the refresh (or ``None`` outside an engine).  The
-    pre-feedback two-argument form still works through a deprecation shim
-    (one :class:`DeprecationWarning` per policy instance).
+    period triggering the refresh (or ``None`` outside an engine).
     """
-
-    #: classification of the subclass's split override: None = not yet
-    #: inspected, True = legacy two-argument form, False = view-aware
-    _split_is_legacy: Optional[bool] = None
 
     def split(
         self, workers: Sequence[WorkerState], demand_qps: float, view=None
@@ -137,31 +129,6 @@ class TrafficSplitPolicy(RoutingPolicy):
         """Amounts (aligned with ``workers``) with ``amount_i <= remaining_i``
         and ``sum(amounts) <= demand_qps``."""
         raise NotImplementedError
-
-    def _split_parcel(self, workers, demand_qps, view):
-        """Call :meth:`split`, shimming legacy overrides.
-
-        Classification is name-based, mirroring the allocation shim: only an
-        override that accepts a ``view`` keyword (explicitly or via
-        ``**kwargs``) is view-aware.  Counting parameters instead would
-        silently bind the ClusterView to an unrelated defaulted parameter of
-        a legacy override.
-        """
-        if self._split_is_legacy is None:
-            fn = type(self).split
-            legacy = not _accepts_keyword(fn, "view")
-            if legacy:
-                warnings.warn(
-                    f"{type(self).__name__}.split(workers, demand_qps) is deprecated; "
-                    "accept a `view` keyword argument (ClusterView) — see the "
-                    "'Feedback control' section of the README for migration notes",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            self._split_is_legacy = legacy
-        if self._split_is_legacy:
-            return self.split(workers, demand_qps)
-        return self.split(workers, demand_qps, view=view)
 
     def build(
         self,
@@ -223,7 +190,7 @@ class TrafficSplitPolicy(RoutingPolicy):
         """Split one parcel across ``destinations``, append entries, return placed qps."""
         if demand_qps <= 1e-12 or not destinations:
             return 0.0
-        amounts = self._split_parcel(destinations, demand_qps, view)
+        amounts = self.split(destinations, demand_qps, view=view)
         placed = 0.0
         for worker, amount in zip(destinations, amounts):
             if amount <= 1e-12:

@@ -21,7 +21,6 @@ that upstream workers use for opportunistic rerouting (Section 5.2).
 
 from __future__ import annotations
 
-import inspect
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -322,17 +321,6 @@ class MostAccurateFirst:
         return backups
 
 
-def _accepts_keyword(fn, name: str) -> bool:
-    """Whether ``fn`` can be called with keyword ``name`` (explicitly or via **kwargs)."""
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables: assume modern surface
-        return True
-    if name in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
-
-
 class LoadBalancer:
     """Wraps a routing policy with the periodic-refresh behaviour of Section 5.
 
@@ -340,17 +328,15 @@ class LoadBalancer:
     Manager publishes a new plan and also periodically in between, to follow
     short-term demand changes.  The algorithm defaults to the paper's
     :class:`MostAccurateFirst`; any object with the same ``build(workers,
-    demand_qps, multiplicative_factors)`` signature can be plugged in (see
-    :mod:`repro.control.routing` for the registry of alternatives).
+    demand_qps, multiplicative_factors=None, view=None)`` signature can be
+    plugged in (see :mod:`repro.control.routing` for the registry of
+    alternatives).
     """
 
     def __init__(self, pipeline: Pipeline, refresh_interval_s: float = 1.0, policy=None):
         self.pipeline = pipeline
         self.refresh_interval_s = float(refresh_interval_s)
         self.algorithm = policy if policy is not None else MostAccurateFirst(pipeline)
-        # Third-party algorithms may predate the feedback-control API and
-        # accept only (workers, demand_qps, factors); classify once.
-        self._build_accepts_view = _accepts_keyword(self.algorithm.build, "view")
         self.current_plan: Optional[RoutingPlan] = None
         self._last_refresh_s: Optional[float] = None
         self.refresh_count = 0
@@ -373,10 +359,7 @@ class LoadBalancer:
         import time as _time
 
         start = _time.perf_counter()  # reprolint: disable=R002 -- refresh-latency stat is reporting-only
-        if self._build_accepts_view:
-            plan = self.algorithm.build(workers, demand_qps, multiplicative_factors, view=view)
-        else:
-            plan = self.algorithm.build(workers, demand_qps, multiplicative_factors)
+        plan = self.algorithm.build(workers, demand_qps, multiplicative_factors, view=view)
         self.last_refresh_time_s = _time.perf_counter() - start  # reprolint: disable=R002 -- reporting-only
         self.total_refresh_time_s += self.last_refresh_time_s
         self.refresh_count += 1

@@ -4,7 +4,8 @@ Every module exposes a ``run(...)`` function that returns a structured result
 object and a ``main()`` entry point that prints the same rows/series the paper
 reports.  The benchmark suite (``benchmarks/``) wraps these functions so
 ``pytest benchmarks/ --benchmark-only`` regenerates every figure, and
-``EXPERIMENTS.md`` records the paper-vs-measured comparison.
+``scripts/run_all_experiments.py`` writes each full-size report to
+``results/<name>.txt``.
 
 ====================  ==========================================================
 Module                Reproduces

@@ -28,8 +28,6 @@ class RuntimeResult:
     resource_manager_ms: Dict[str, float]
     load_balancer_ms: Dict[str, float]
     demands_qps: Dict[str, List[float]]
-    #: discrete-event simulator throughput on the smoke scenario (0 = not measured)
-    simulator_events_per_s: float = 0.0
 
     @property
     def mean_resource_manager_ms(self) -> float:
@@ -42,25 +40,13 @@ class RuntimeResult:
         return sum(values) / len(values) if values else 0.0
 
 
-def measure_simulator_throughput(scenario: str = "smoke", seed: int = 0) -> float:
-    """Events/second of the discrete-event engine on a registered scenario."""
-    from repro.scenarios import get_scenario
-
-    simulation = get_scenario(scenario).build(seed)
-    start = time.perf_counter()
-    simulation.run()
-    elapsed = time.perf_counter() - start
-    return simulation.engine.events_processed / elapsed if elapsed > 0 else 0.0
-
-
 def run(
     num_workers: int = 20,
     slo_ms: float = 250.0,
     demand_fractions: Sequence[float] = (0.3, 0.6, 0.9),
     repeats: int = 3,
-    include_simulator: bool = True,
 ) -> RuntimeResult:
-    """Time the two-step MILP, MostAccurateFirst and the simulator engine."""
+    """Time the two-step MILP and MostAccurateFirst on both paper pipelines."""
     pipelines = {
         "traffic_analysis": traffic_analysis_pipeline(latency_slo_ms=slo_ms),
         "social_media": social_media_pipeline(latency_slo_ms=slo_ms),
@@ -95,7 +81,6 @@ def run(
         resource_manager_ms=rm_times,
         load_balancer_ms=lb_times,
         demands_qps=demands,
-        simulator_events_per_s=measure_simulator_throughput() if include_simulator else 0.0,
     )
 
 
@@ -111,8 +96,6 @@ def main(**kwargs) -> RuntimeResult:
         f"\nmean Resource Manager runtime: {result.mean_resource_manager_ms:.1f} ms (paper: ~500 ms with Gurobi)"
         f"\nmean Load Balancer runtime:    {result.mean_load_balancer_ms:.3f} ms (paper: ~0.15 ms)"
     )
-    if result.simulator_events_per_s:
-        print(f"simulator throughput:          {result.simulator_events_per_s:,.0f} events/s (smoke scenario)")
     return result
 
 

@@ -4,8 +4,8 @@ The repo's headline guarantees — bit-identical ``(scenario, seed)`` replays,
 hash-order-independent plans, machine-independent solver budgets, immutable
 control contexts — were historically enforced only by after-the-fact golden
 tests.  This package enforces them *at the source level* with an AST
-analyzer and five repo-specific rules (R004 and R007 were retired with the
-simulator modes they guarded; their ids are not reused):
+analyzer and four repo-specific rules (the ids missing from the sequence
+belong to retired rules and are not reused):
 
 ========  =======================  ====================================================
  id        name                     invariant (see each rule's docstring for history)
@@ -14,7 +14,6 @@ simulator modes they guarded; their ids are not reused):
  R002      wall-clock               simulated code never reads the host clock
  R003      hash-order               no set-order leakage into plan/constraint emission
  R005      frozen-view-mutation     control contexts are immutable values
- R006      legacy-policy-signature  new policies use the context-aware API
 ========  =======================  ====================================================
 
 Usage::

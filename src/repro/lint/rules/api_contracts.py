@@ -1,8 +1,7 @@
-"""API-contract rules: frozen view immutability, post-deprecation signatures.
+"""API-contract rule: frozen view immutability.
 
-Both rules pin contracts introduced by PR 5's feedback-control redesign:
-policies read *immutable* live-state snapshots, and new policy code must
-target the context-aware API rather than ride the legacy shim forever.
+The rule pins a contract of the feedback-control policy API:
+policies read *immutable* live-state snapshots.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ FROZEN_TYPES = {"ClusterView", "ControlContext", "TelemetryWindow", "WorkerView"
 #: parameter names conventionally bound to a ControlContext
 _CTX_PARAM_NAMES = {"ctx", "context"}
 #: classmethod constructors on the frozen types
-_FROZEN_FACTORIES = {"empty", "at"}
+_FROZEN_FACTORIES = {"empty"}
 #: methods (on any receiver) documented to return frozen snapshots
 _SNAPSHOT_METHODS = {"cluster_view", "build_context"}
 
@@ -127,82 +126,3 @@ class FrozenViewMutationRule(Rule):
                                 f"setattr on frozen snapshot '{root.id}' bypasses the "
                                 "frozen-dataclass guard the policy API relies on",
                             )
-
-
-@register_rule
-class LegacyPolicySignatureRule(Rule):
-    """R006 legacy-policy-signature: new policies target the context API.
-
-    History: PR 5 replaced ``AllocationPolicy.allocate(now_s)`` with
-    ``allocate(ctx)`` and kept a signature-sniffing deprecation shim
-    (``run_allocation`` warns once and passes ``ctx.now_s``) so third-party
-    policies keep working.  The shim is for *migration*, not for new code: a
-    new in-repo override written against the old signature silently opts out
-    of live cluster state, windowed telemetry and the SLO — everything the
-    feedback policies feed on — and will break outright when the shim is
-    retired.  Flags ``allocate`` overrides in ``AllocationPolicy``
-    subclasses whose first argument is not a ControlContext (by name
-    ``ctx``/``context`` or annotation), mirroring the runtime classifier in
-    ``repro/control/policies.py``, and ``TrafficSplitPolicy.split``
-    overrides missing the third ``view`` parameter.
-    """
-
-    id = "R006"
-    name = "legacy-policy-signature"
-    scope = ("src/repro/*", "src/repro/**/*")
-
-    def check(self, file: ParsedFile) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            base_names = {
-                base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
-                for base in node.bases
-            }
-            is_alloc = (
-                any(name.endswith("AllocationPolicy") for name in base_names)
-                and node.name != "AllocationPolicy"
-            )
-            is_split = any(
-                name.endswith("TrafficSplitPolicy") or name.endswith("RoutingPolicy")
-                for name in base_names
-            )
-            for item in node.body:
-                if not isinstance(item, ast.FunctionDef):
-                    continue
-                if is_alloc and item.name == "allocate" and self._legacy_allocate(item):
-                    yield self.finding(
-                        file, item,
-                        f"{node.name}.allocate uses the deprecated (now_s) signature "
-                        "and would run via the legacy shim; accept a ControlContext "
-                        "(ctx.now_s carries the timestamp)",
-                    )
-                if is_split and item.name == "split" and self._legacy_split(item):
-                    yield self.finding(
-                        file, item,
-                        f"{node.name}.split is missing the third (view) parameter; "
-                        "legacy two-argument split overrides run via the deprecation "
-                        "shim and never see live cluster state",
-                    )
-
-    @staticmethod
-    def _legacy_allocate(func: ast.FunctionDef) -> bool:
-        args = func.args
-        if args.vararg is not None:
-            return False
-        positional = [*args.posonlyargs, *args.args][1:]  # drop self
-        if not positional:
-            return True  # allocate(self) — not even a timestamp; still legacy-shaped
-        first = positional[0]
-        if first.arg in _CTX_PARAM_NAMES:
-            return False
-        annotation = ast.unparse(first.annotation) if first.annotation else ""
-        return "ControlContext" not in annotation
-
-    @staticmethod
-    def _legacy_split(func: ast.FunctionDef) -> bool:
-        args = func.args
-        if args.vararg is not None:
-            return False
-        positional = [*args.posonlyargs, *args.args][1:]  # drop self
-        return len(positional) < 3

@@ -145,6 +145,7 @@ class TestPlanCache:
         control.step(10.0, force=True)
         assert control.builds == 1  # same target + fingerprint -> cached plan
         assert control.allocations_performed == 1
+        assert control.last_allocation_s == 10.0  # stamped from ctx.now_s on a cache hit too
 
     def test_multiplier_drift_invalidates_cached_plans(self, small_pipeline):
         """Regression: the seed cache was keyed on demand alone and served

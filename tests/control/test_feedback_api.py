@@ -1,11 +1,8 @@
-"""Feedback-control API: ControlContext assembly, shims for pre-feedback policies.
+"""Feedback-control API: ControlContext assembly and the ``allocate(ctx)`` surface.
 
-The api_redesign PR changed ``AllocationPolicy.allocate(now_s)`` to
-``allocate(ctx)`` and gave ``TrafficSplitPolicy.split`` a third ``view``
-argument.  These tests pin the redesigned surface (per-step context assembly,
-telemetry windows, live-view plumbing) and the compatibility story: an
-old-style third-party policy still runs and emits exactly one
-``DeprecationWarning`` per instance.
+Allocation policies implement ``allocate(ctx)`` and ``TrafficSplitPolicy.split``
+takes a third ``view`` argument.  These tests pin that surface (per-step
+context assembly, telemetry windows, live-view plumbing).
 """
 
 import dataclasses
@@ -25,6 +22,7 @@ from repro.control import (
     WorkerView,
 )
 from repro.core.allocation import AllocationProblem
+from repro.core.load_balancer import LoadBalancer
 from repro.telemetry import TelemetryRegistry
 
 
@@ -178,69 +176,10 @@ class TestContextAssembly:
         assert window.p50_latency_ms == pytest.approx(20.0)
 
 
-class OldStyleAllocation(AllocationPolicy):
-    """Third-party policy written against the pre-feedback allocate(now_s)."""
-
-    name = "old_style_test"
-
-    def __init__(self, plan):
-        super().__init__()
-        self.plan = plan
-        self.calls = []
-
-    def allocate(self, now_s):
-        self.calls.append(now_s)
-        self.engine.last_allocation_s = now_s
-        return self.plan
-
-
-class OldStyleSplit(TrafficSplitPolicy):
-    """Third-party routing policy with the pre-feedback split(workers, demand)."""
-
-    name = "old_split_test"
-
-    def split(self, workers, demand_qps):
-        share = demand_qps / len(workers)
-        return [min(share, w.remaining_capacity_qps) for w in workers]
-
-
-class TestDeprecationShims:
-    def test_old_style_allocate_runs_with_single_warning(self, small_pipeline):
-        plan = solved_plan(small_pipeline)
-        policy = OldStyleAllocation(plan)
-        engine = ControlPlaneEngine(small_pipeline, policy, num_workers=10)
-        engine.report_demand(0.0, 40.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.step(0.0, force=True)
-            engine.step(10.0, force=True)
-            engine.step(20.0, force=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "allocate(now_s) is deprecated" in str(deprecations[0].message)
-        # the shim passed plain timestamps, and the policy drove real plans
-        assert policy.calls == [0.0, 10.0, 20.0]
-        assert engine.current_plan is plan
-
-    def test_old_style_split_runs_with_single_warning(self, small_pipeline):
-        plan = solved_plan(small_pipeline)
-        engine = ControlPlaneEngine(
-            small_pipeline, StaticPlanPolicy(plan), OldStyleSplit(small_pipeline), num_workers=10
-        )
-        engine.report_demand(0.0, 40.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.step(0.0, force=True)
-            engine.step(1.0, force=True)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "split(workers, demand_qps) is deprecated" in str(deprecations[0].message)
-        assert engine.current_routing is not None
-        assert not engine.current_routing.frontend_table.is_empty()
-
-    def test_annotated_context_param_counts_as_new_style(self, small_pipeline):
-        """An override whose first parameter is annotated ControlContext is
-        context-aware regardless of the parameter name."""
+class TestPolicySignatures:
+    def test_annotated_context_param_receives_context(self, small_pipeline):
+        """The engine hands an ``allocate`` override the ControlContext,
+        whatever its parameter is called."""
         plan = solved_plan(small_pipeline)
         seen = []
 
@@ -258,7 +197,59 @@ class TestDeprecationShims:
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
         assert seen and isinstance(seen[0], ControlContext)
 
-    def test_new_style_policies_warn_nothing(self, small_pipeline):
+    def test_allocate_receives_the_step_context(self, small_pipeline):
+        plan = solved_plan(small_pipeline)
+        seen = []
+
+        class Recording(AllocationPolicy):
+            def allocate(self, ctx):
+                seen.append(ctx)
+                self.engine.last_allocation_s = ctx.now_s
+                return plan
+
+        engine = ControlPlaneEngine(
+            small_pipeline, Recording(), num_workers=10, latency_slo_ms=300.0
+        )
+        engine.attach_cluster_state(FakeProvider(make_view()))
+        engine.report_demand(0.0, 40.0)
+        engine.step(7.0, force=True)
+        assert len(seen) == 1 and seen[0] is engine.last_context
+        assert seen[0].now_s == 7.0 and seen[0].latency_slo_ms == 300.0
+        assert seen[0].view.total_queue_depth == 2
+
+    def test_base_allocate_stamps_ctx_time_and_caches_the_plan(self, small_pipeline):
+        plan = solved_plan(small_pipeline)
+        targets = []
+
+        class Counting(AllocationPolicy):
+            def build_plan(self, target_demand_qps):
+                targets.append(target_demand_qps)
+                return plan
+
+        policy = Counting()
+        engine = ControlPlaneEngine(small_pipeline, policy, num_workers=10)
+        engine.report_demand(0.0, 40.0)
+        first = policy.allocate(ControlContext(now_s=5.0, view=ClusterView.empty(5.0)))
+        second = policy.allocate(ControlContext(now_s=9.0, view=ClusterView.empty(9.0)))
+        assert first is plan and second is plan
+        assert targets == [policy.provisioning_target_qps()]
+        assert engine.allocations_performed == 1
+        assert engine.last_allocation_s == 9.0
+
+    def test_load_balancer_passes_view_to_build(self, small_pipeline):
+        calls = []
+
+        class Recording:
+            def build(self, workers, demand_qps, multiplicative_factors=None, view=None):
+                calls.append((demand_qps, multiplicative_factors, view))
+                return "routing"
+
+        view = make_view(now_s=2.0)
+        balancer = LoadBalancer(small_pipeline, policy=Recording())
+        assert balancer.refresh(2.0, [], 10.0, {"detect_big": 1.5}, view=view) == "routing"
+        assert calls == [(10.0, {"detect_big": 1.5}, view)]
+
+    def test_context_policies_warn_nothing(self, small_pipeline):
         plan = solved_plan(small_pipeline)
         engine = ControlPlaneEngine(
             small_pipeline, StaticPlanPolicy(plan), "least_loaded", num_workers=10
@@ -269,49 +260,32 @@ class TestDeprecationShims:
             engine.step(0.0, force=True)
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
 
-    def test_legacy_split_with_extra_defaulted_param(self, small_pipeline):
-        """Regression: classification is by the `view` keyword, not arity — a
-        legacy split with an unrelated defaulted parameter must not have the
-        ClusterView bound to it."""
+    def test_split_receives_the_period_view(self, small_pipeline):
         plan = solved_plan(small_pipeline)
         seen = []
 
-        class LegacySplitWithDefault(TrafficSplitPolicy):
-            def split(self, workers, demand_qps, spread=2.0):
-                seen.append(spread)
-                share = demand_qps / (len(workers) * spread) * spread
-                return [min(share, w.remaining_capacity_qps) for w in workers]
+        class RecordingSplit(TrafficSplitPolicy):
+            def split(self, workers, demand_qps, view=None):
+                seen.append(view)
+                return [min(demand_qps / len(workers), w.remaining_capacity_qps) for w in workers]
 
         engine = ControlPlaneEngine(
-            small_pipeline,
-            StaticPlanPolicy(plan),
-            LegacySplitWithDefault(small_pipeline),
-            num_workers=10,
+            small_pipeline, StaticPlanPolicy(plan), RecordingSplit(small_pipeline), num_workers=10
         )
         engine.attach_cluster_state(FakeProvider(make_view()))
         engine.report_demand(0.0, 40.0)
-        with pytest.warns(DeprecationWarning, match="split"):
-            engine.step(0.0, force=True)
-        assert seen and all(spread == 2.0 for spread in seen)
+        engine.step(3.0, force=True)
+        assert seen and all(view is engine.last_context.view for view in seen)
+        assert seen[0].now_s == 3.0 and seen[0].total_queue_depth == 2
 
-    def test_legacy_super_delegation_still_works(self, small_pipeline):
-        """A legacy subclass calling super().allocate(now_s) keeps working."""
-        plan = solved_plan(small_pipeline)
+    def test_build_without_view_parameter_is_rejected(self, small_pipeline):
+        """``build(..., view=None)`` is the one routing signature; an
+        algorithm without ``view`` fails loudly instead of silently running
+        blind to the cluster."""
 
-        class LegacyDelegator(AllocationPolicy):
-            def __init__(self):
-                super().__init__()
+        class NoView:
+            def build(self, workers, demand_qps, multiplicative_factors=None):
+                return "routing"
 
-            def build_plan(self, target):
-                return plan
-
-            def allocate(self, now_s):
-                return super().allocate(now_s)  # float, not a ControlContext
-
-        engine = ControlPlaneEngine(small_pipeline, LegacyDelegator(), num_workers=10)
-        engine.report_demand(0.0, 40.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            new_plan, _ = engine.step(0.0, force=True)
-        assert new_plan is plan
-        assert engine.last_allocation_s == 0.0
+        with pytest.raises(TypeError):
+            LoadBalancer(small_pipeline, policy=NoView()).refresh(0.0, [], 10.0)

@@ -11,6 +11,7 @@ from repro.core.load_balancer import (
     WorkerState,
     workers_from_plan,
 )
+from repro.zoo import traffic_analysis_pipeline
 
 
 def worker(worker_id, task, variant, accuracy, capacity, latency=10.0, batch=4):
@@ -23,6 +24,16 @@ def worker(worker_id, task, variant, accuracy, capacity, latency=10.0, batch=4):
         latency_ms=latency,
         batch_size=batch,
     )
+
+
+def _expected_accuracy_round_robin(pipeline, workers, demand):
+    """First-task accuracy of a router that splits demand by worker capacity."""
+    root_workers = [w for w in workers if w.task == pipeline.root]
+    total_capacity = sum(w.capacity_qps for w in root_workers)
+    served = min(demand, total_capacity)
+    if served <= 0:
+        return 0.0
+    return sum((w.capacity_qps / total_capacity) * w.accuracy for w in root_workers) * (served / demand)
 
 
 class TestRoutingTable:
@@ -148,6 +159,23 @@ class TestMostAccurateFirst:
         workers = [worker("d0", "detect", "detect_big", 1.0, capacity=100)]
         plan = MostAccurateFirst(small_pipeline).build(workers, demand_qps=0.0)
         assert plan.frontend_table.routed_fraction("detect") == 0.0
+
+    def test_most_accurate_first_vs_round_robin(self):
+        """Section 5: saturating the most accurate workers first routes at
+        least the accuracy of a capacity-proportional (round-robin) router on
+        the same plan and demand."""
+        pipeline = traffic_analysis_pipeline(latency_slo_ms=250.0)
+        problem = AllocationProblem(pipeline, num_workers=20, latency_slo_ms=250.0)
+        capacity = problem.max_supported_demand().max_demand_qps
+        plan = problem.solve(capacity * 0.8)
+        workers = workers_from_plan(plan, pipeline)
+        demand = capacity * 0.5  # partial load: routing choices actually matter
+
+        routing = MostAccurateFirst(pipeline).build(workers, demand)
+        maf_accuracy = sum(e.probability * e.accuracy for e in routing.frontend_table.entries(pipeline.root))
+        rr_accuracy = _expected_accuracy_round_robin(pipeline, workers, demand)
+        assert maf_accuracy >= rr_accuracy - 1e-9
+        assert not routing.frontend_table.is_empty()
 
 
 class TestWorkersFromPlan:

@@ -143,9 +143,28 @@ class TestValidation:
 
 
 class TestRuntimeOverhead:
+    def test_means_average_over_pipelines(self):
+        result = runtime_overhead.RuntimeResult(
+            resource_manager_ms={"a": 100.0, "b": 300.0},
+            load_balancer_ms={"a": 0.1, "b": 0.3},
+            demands_qps={"a": [10.0], "b": [20.0]},
+        )
+        assert result.mean_resource_manager_ms == pytest.approx(200.0)
+        assert result.mean_load_balancer_ms == pytest.approx(0.2)
+        empty = runtime_overhead.RuntimeResult({}, {}, {})
+        assert empty.mean_resource_manager_ms == 0.0 and empty.mean_load_balancer_ms == 0.0
+
     def test_runtimes_measured(self):
         result = runtime_overhead.run(demand_fractions=(0.4,), repeats=1)
         assert result.mean_resource_manager_ms > 0
         # The Load Balancer must be orders of magnitude faster than the MILP.
         assert result.mean_load_balancer_ms < result.mean_resource_manager_ms / 10
         assert set(result.resource_manager_ms) == {"traffic_analysis", "social_media"}
+
+    def test_report_prints_both_runtimes_per_pipeline(self, capsys):
+        result = runtime_overhead.main(demand_fractions=(0.4,), repeats=1)
+        report = capsys.readouterr().out
+        for name in ("traffic_analysis", "social_media"):
+            assert name in report
+        assert f"mean Resource Manager runtime: {result.mean_resource_manager_ms:.1f} ms" in report
+        assert f"mean Load Balancer runtime:    {result.mean_load_balancer_ms:.3f} ms" in report

@@ -13,6 +13,7 @@ from repro.lint.baseline import Baseline
 from repro.lint.cli import DEFAULT_BASELINE, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+CI_LINT_DIRS = ("src", "tests", "examples", "scripts", "benchmarks")
 
 
 def write_dirty_module(tmp_path: Path) -> Path:
@@ -107,11 +108,21 @@ def test_lint_self_clean():
     assert result.files_checked > 100
 
 
+def test_benchmarks_scripts_and_examples_lint_clean():
+    """CI's lint step also covers the benchmark suite, scripts and examples."""
+    baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
+    engine = LintEngine(root=REPO_ROOT, baseline=baseline)
+    result = engine.run([REPO_ROOT / d for d in ("benchmarks", "scripts", "examples")])
+    assert result.active == [], f"lint findings:\n{render(result, 'text')}"
+    assert result.files_checked > 10
+
+
 def test_cli_self_run_exits_zero():
-    """`python -m repro.lint src tests` — exactly what CI runs — exits 0."""
+    """`python -m repro.lint src tests examples scripts benchmarks` — exactly
+    what CI runs — exits 0."""
     env_src = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "src", "tests", "--root", str(REPO_ROOT)],
+        [sys.executable, "-m", "repro.lint", *CI_LINT_DIRS, "--root", str(REPO_ROOT)],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

@@ -23,7 +23,6 @@ EXPECTED = {
     "R002": 7,
     "R003": 7,
     "R005": 5,
-    "R006": 7,
 }
 
 
@@ -56,7 +55,7 @@ def test_good_fixture_is_clean(rule_id):
 
 
 def test_registry_is_complete():
-    """All five rules are registered; deleting one fails here by id."""
+    """All four rules are registered; deleting one fails here by id."""
     registered = {rule.id for rule in all_rules()}
     assert registered == set(EXPECTED)
 
